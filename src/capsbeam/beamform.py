@@ -3,10 +3,12 @@
 DAS is the normalized apodized channel sum. MVDR solves the loaded
 spatial covariance per pixel over overlapping subarrays with temporal
 (row) averaging, steering vector all-ones since delays are already
-applied. Coherent compounding averages beamformed values across transmit
-angles pixel-wise. The envelope stage is a frequency-domain Hilbert
-transform down the rows, and log compression maps magnitudes to a
-clamped dB scale.
+applied. The subarray Gram of each input row is computed once, and the
+2K+1-row temporal window sums are built from prefix and suffix sums over
+fixed row chunks (van Herk/Gil-Werman), so no snapshot is gathered twice.
+Coherent compounding averages beamformed values across transmit angles
+pixel-wise. The envelope stage is a frequency-domain Hilbert transform
+down the rows, and log compression maps magnitudes to a clamped dB scale.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data_model import EnvelopeImage, PixelGrid, RfVolume
@@ -89,32 +91,89 @@ def das(rf: RfVolume, apodization: np.ndarray) -> BeamformedImage:
     return BeamformedImage(grid=rf.grid, values=values)
 
 
-def _mvdr_row(rf_samples: np.ndarray, r0: int, params: MvdrParams) -> np.ndarray:
-    rows, cols, channels = rf_samples.shape
+def _gram(row: np.ndarray, subarray_len: int) -> np.ndarray:
+    """Subarray Gram sum_g x[g:g+L] x[g:g+L]^T of one input row, [cols, L, L]."""
+    subs = np.ascontiguousarray(
+        sliding_window_view(row.astype(np.float64), subarray_len, axis=1))
+    return np.matmul(subs.transpose(0, 2, 1), subs)
+
+
+def _mvdr_pixels(rf_samples: np.ndarray, r0: int, window_sum: np.ndarray,
+                 params: MvdrParams) -> np.ndarray:
     L = params.subarray_len
-    K = params.temporal_half_window
-    window_rows = np.clip(np.arange(r0 - K, r0 + K + 1), 0, rows - 1)
-    block = rf_samples[window_rows]  # [2K+1, cols, channels]
-    subs = sliding_window_view(block, L, axis=2)  # [2K+1, cols, G, L]
-    n_sub = subs.shape[2]
-    snaps = subs.transpose(1, 0, 2, 3).reshape(cols, -1, L)
-    n_snap = snaps.shape[1]
-    R = np.matmul(snaps.transpose(0, 2, 1), snaps) / n_snap
+    n_snap = (2 * params.temporal_half_window + 1) * (rf_samples.shape[2] - L + 1)
+    R = window_sum / n_snap
     trace = np.trace(R, axis1=1, axis2=2)
     load = params.diagonal_loading * trace / L
     R = R + load[:, None, None] * np.eye(L)[None]
-    ones = np.ones((cols, L, 1))
+    ones = np.ones((R.shape[0], L, 1))
     try:
         w_tilde = np.linalg.solve(R, ones)[:, :, 0]
     except np.linalg.LinAlgError as exc:
+        zero = np.flatnonzero(trace == 0.0)
+        if zero.size:
+            raise SingularCovariance(
+                f"row {r0}, column {zero[0]}: all-zero window, covariance has zero trace"
+            ) from exc
         raise SingularCovariance(f"row {r0}: covariance not solvable") from exc
     denom = w_tilde.sum(axis=1)
-    if np.any(denom == 0.0) or not np.all(np.isfinite(w_tilde)):
-        raise SingularCovariance(f"row {r0}: distortionless normalization failed")
+    bad = np.flatnonzero((denom == 0.0) | ~np.all(np.isfinite(w_tilde), axis=1))
+    if bad.size:
+        raise SingularCovariance(
+            f"row {r0}, column {bad[0]}: distortionless normalization failed")
     w = w_tilde / denom[:, None]
-    center = sliding_window_view(rf_samples[r0], L, axis=1)  # [cols, G, L]
+    center = sliding_window_view(rf_samples[r0].astype(np.float64), L, axis=1)
     mean_sub = center.mean(axis=1)
     return np.einsum("cl,cl->c", w, mean_sub)
+
+
+def _mvdr_chunks(rf_samples: np.ndarray, first: int, stop: int, params: MvdrParams,
+                 out: np.ndarray) -> None:
+    """Output rows of chunks [first, stop) by the van Herk/Gil-Werman scheme.
+
+    Padded position p holds the Gram of row clip(p - K), and row r sums
+    positions r .. r + 2K. Positions fall in chunks of W = 2K + 1, so that
+    window is the suffix of r's chunk from r plus the prefix of the next
+    chunk up to r + 2K (just the whole chunk when r starts one). Suffixes
+    are summed backward and prefixes forward within a chunk, so a row's
+    bits depend only on r, not on how the chunks are split among workers.
+    """
+    rows = rf_samples.shape[0]
+    L, K = params.subarray_len, params.temporal_half_window
+    W = 2 * K + 1
+    cached_row, cached_gram = -1, None
+
+    def gram_at(p: int) -> np.ndarray:
+        # Positions are visited in order, and the K + 1 clamped positions
+        # at either edge share one row, so one cached Gram suffices.
+        nonlocal cached_row, cached_gram
+        t = min(max(p - K, 0), rows - 1)
+        if t != cached_row:
+            cached_row, cached_gram = t, _gram(rf_samples[t], L)
+        return cached_gram
+
+    def to_suffix_sums():
+        for i in range(W - 2, -1, -1):
+            buf[i] += buf[i + 1]
+
+    # buf holds the suffix sums of chunk j; slot i - 1 is refilled with
+    # the Gram of chunk j + 1's position i - 1 once row jW + i is out.
+    buf = np.empty((W, rf_samples.shape[1], L, L))
+    for i in range(W):
+        buf[i] = gram_at(first * W + i)
+    to_suffix_sums()
+    for j in range(first, stop):
+        base = j * W
+        out[base] = _mvdr_pixels(rf_samples, base, buf[0], params)
+        prefix = None
+        for i in range(1, min(W, rows - base)):
+            q = gram_at(base + W + i - 1)
+            prefix = q.copy() if prefix is None else np.add(prefix, q, out=prefix)
+            out[base + i] = _mvdr_pixels(rf_samples, base + i, buf[i] + prefix, params)
+            buf[i - 1] = q
+        if j + 1 < stop:
+            buf[W - 1] = gram_at(base + 2 * W - 1)
+            to_suffix_sums()
 
 
 def mvdr(rf: RfVolume, params: MvdrParams) -> BeamformedImage:
@@ -123,6 +182,9 @@ def mvdr(rf: RfVolume, params: MvdrParams) -> BeamformedImage:
     Per pixel the covariance pools the length-L channel windows of the
     2K+1 temporally adjacent rows (edge rows clamp the window by index,
     so the snapshot count stays (2K+1) * (channels - L + 1) everywhere).
+    Each input row's subarray Gram is formed once; the 2K+1-row window
+    sums come from per-chunk prefix and suffix sums, which only add, so an
+    all-zero window sums to exactly zero and raises SingularCovariance.
     Loading adds diagonal_loading * trace(R) / L to the diagonal. Weights
     solve R w = 1 and are normalized so w . 1 == 1; the output is the
     weight response averaged over subarrays at the center row.
@@ -131,18 +193,21 @@ def mvdr(rf: RfVolume, params: MvdrParams) -> BeamformedImage:
         raise InvalidConfig(
             f"subarray_len {params.subarray_len} exceeds {rf.num_channels} channels"
         )
-    samples = rf.samples.astype(np.float64)
     rows = rf.grid.num_rows
     out = np.empty((rows, rf.grid.num_cols), dtype=np.float64)
-    workers = thread_budget()
+    n_chunks = -(-rows // (2 * params.temporal_half_window + 1))
+    workers = min(thread_budget(), n_chunks)
+    bounds = [n_chunks * k // workers for k in range(workers + 1)]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+
+    def run(chunks):
+        _mvdr_chunks(rf.samples, chunks[0], chunks[1], params, out)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r0, row in zip(range(rows), pool.map(
-                    lambda r: _mvdr_row(samples, r, params), range(rows))):
-                out[r0] = row
+            list(pool.map(run, ranges))
     else:
-        for r0 in range(rows):
-            out[r0] = _mvdr_row(samples, r0, params)
+        run(ranges[0])
     return BeamformedImage(grid=rf.grid, values=out)
 
 
@@ -169,7 +234,11 @@ def envelope(image: BeamformedImage) -> EnvelopeImage:
     if rows < 4:
         raise ShapeMismatch("envelope needs at least 4 rows")
     nfft = 1 << (rows - 1).bit_length()
-    analytic = scipy.signal.hilbert(image.values, N=nfft, axis=0)[:rows]
+    # scipy.signal.hilbert's steps for even N, without importing scipy.signal.
+    spectrum = scipy.fft.fft(image.values, nfft, axis=0)
+    spectrum[1:nfft // 2] *= 2.0
+    spectrum[nfft // 2 + 1:] = 0.0
+    analytic = scipy.fft.ifft(spectrum, axis=0)[:rows]
     return EnvelopeImage(
         grid=image.grid,
         i_part=image.values.astype(np.float32),

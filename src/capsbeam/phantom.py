@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import gausspulse
 
 from .data_model import PixelGrid, ProbeGeometry, RfVolume
 from .errors import InvalidConfig, OutOfField, ShapeMismatch
@@ -69,16 +68,22 @@ class Phantom:
                 raise InvalidConfig(f"scatterer depth {s[1]} cannot be negative")
 
 
+def _pulse_exponent(center_freq_hz: float) -> float:
+    # scipy.signal.gausspulse's envelope is exp(-a t^2), with a set by the
+    # -6 dB fractional bandwidth.
+    ref = 10 ** (-6 / 20.0)
+    return -((np.pi * center_freq_hz * _PULSE_BANDWIDTH) ** 2) / (4.0 * np.log(ref))
+
+
 def _pulse_wave(t: np.ndarray, center_freq_hz: float) -> np.ndarray:
-    return gausspulse(t, fc=center_freq_hz, bw=_PULSE_BANDWIDTH)
+    # gausspulse's in-phase output, evaluated in its operation order.
+    a = _pulse_exponent(center_freq_hz)
+    return np.exp(-a * t * t) * np.cos(2 * np.pi * center_freq_hz * t)
 
 
 def _pulse_halfwidth_s(center_freq_hz: float) -> float:
-    # gausspulse envelope is exp(-a t^2) with a set by the -6 dB fractional
-    # bandwidth; solve for the time where it falls to _PULSE_TAIL.
-    ref = 10 ** (-6 / 20.0)
-    a = -((np.pi * center_freq_hz * _PULSE_BANDWIDTH) ** 2) / (4.0 * np.log(ref))
-    return float(np.sqrt(-np.log(_PULSE_TAIL) / a))
+    # Time where the envelope falls to _PULSE_TAIL.
+    return float(np.sqrt(-np.log(_PULSE_TAIL) / _pulse_exponent(center_freq_hz)))
 
 
 def realize(phantom: Phantom, geom: ProbeGeometry, num_time_samples: int) -> np.ndarray:

@@ -7,10 +7,15 @@ loop implementation of the same covariance/solve/normalize recipe.
 """
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capsbeam
 from capsbeam.beamform import (
     BeamformedImage,
     MvdrParams,
@@ -87,13 +92,8 @@ def test_mvdr_channel_constant_data_is_identity():
     np.testing.assert_allclose(out.values, v, atol=1e-12)
 
 
-def test_mvdr_matches_loop_reference():
-    rng = np.random.default_rng(21)
-    samples = rng.standard_normal((5, 4, 6)).astype(np.float32)
-    params = MvdrParams(subarray_len=3, temporal_half_window=1,
-                        diagonal_loading=0.01)
-    out = mvdr(_rf(samples), params)
-
+def _loop_reference(samples, params):
+    """From-scratch per-pixel MVDR: gather every snapshot, solve, normalize."""
     data = samples.astype(np.float64)
     rows, cols, ch = data.shape
     L, K = params.subarray_len, params.temporal_half_window
@@ -110,7 +110,28 @@ def test_mvdr_matches_loop_reference():
             w = w / w.sum()
             subs = np.stack([data[r0, c, g:g + L] for g in range(n_sub)])
             expected[r0, c] = w @ subs.mean(axis=0)
-    np.testing.assert_allclose(out.values, expected, atol=1e-10)
+    return expected
+
+
+def test_mvdr_matches_loop_reference():
+    rng = np.random.default_rng(21)
+    samples = rng.standard_normal((5, 4, 6)).astype(np.float32)
+    params = MvdrParams(subarray_len=3, temporal_half_window=1,
+                        diagonal_loading=0.01)
+    out = mvdr(_rf(samples), params)
+    np.testing.assert_allclose(out.values, _loop_reference(samples, params), atol=1e-10)
+
+
+@pytest.mark.parametrize("half_window", [0, 3])
+def test_mvdr_loop_reference_across_chunks(half_window):
+    # 23 rows pad to 23 + 2K window positions: 23 chunks of one position
+    # for K=0, five chunks of 7 for K=3, with the window clamped at both
+    # edges.
+    rng = np.random.default_rng(40 + half_window)
+    samples = rng.standard_normal((23, 3, 7)).astype(np.float32)
+    params = MvdrParams(subarray_len=3, temporal_half_window=half_window)
+    out = mvdr(_rf(samples), params)
+    np.testing.assert_allclose(out.values, _loop_reference(samples, params), atol=1e-10)
 
 
 def test_mvdr_zero_data_is_singular():
@@ -145,6 +166,33 @@ def test_mvdr_thread_count_does_not_change_values(monkeypatch):
     np.testing.assert_array_equal(serial.values, threaded.values)
 
 
+def test_mvdr_bits_independent_of_chunk_split(monkeypatch):
+    # K=2 gives 5-row chunks, so 23 rows span five chunks and 2 or 3
+    # workers each start on a recomputed boundary chunk.
+    rng = np.random.default_rng(8)
+    samples = rng.standard_normal((23, 4, 6)).astype(np.float32)
+    params = MvdrParams(subarray_len=3, temporal_half_window=2)
+    results = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+        results.append(mvdr(_rf(samples), params).values)
+    np.testing.assert_array_equal(results[0], results[1])
+    np.testing.assert_array_equal(results[0], results[2])
+
+
+def test_mvdr_zero_window_between_rows_is_singular(monkeypatch):
+    # Column 2 is zero on rows 4..6, so row 5's 3-row window there is all
+    # zero although every row and the rows around it carry data.
+    rng = np.random.default_rng(9)
+    samples = rng.standard_normal((11, 4, 6)).astype(np.float32)
+    samples[4:7, 2] = 0.0
+    params = MvdrParams(subarray_len=3, temporal_half_window=1)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+        with pytest.raises(SingularCovariance, match="row 5, column 2"):
+            mvdr(_rf(samples), params)
+
+
 def test_thread_budget_parsing(monkeypatch):
     monkeypatch.delenv("CAPSBEAM_THREADS", raising=False)
     assert thread_budget() == 1
@@ -156,6 +204,17 @@ def test_thread_budget_parsing(monkeypatch):
     monkeypatch.setenv("CAPSBEAM_THREADS", "0")
     with pytest.raises(InvalidConfig):
         thread_budget()
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second to import; the package needs only
+    # scipy.fft, so importing every module must not pull it in.
+    code = ("import sys, capsbeam, capsbeam.cli; "
+            "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'")
+    env = dict(os.environ, PYTHONPATH=str(Path(capsbeam.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------- compound
