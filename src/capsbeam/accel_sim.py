@@ -1,11 +1,11 @@
 """Transaction- and cycle-accurate model of the streaming conv engine.
 
-Functional semantics reproduce the fixed-point path bit for bit while
-walking the hardware order: a rolling line buffer of kernel-height input
-rows (zero rows substituted at the image edges), filters processed in
-pe_rows-wide blocks, one output column per PE column per cycle. Pruned
-layers carry rectangular kept-channel index lists and skip the missing
-kernels entirely.
+Functional semantics reproduce the fixed-point path bit for bit by using
+its exact float64 im2col kernel (capsnet.correlate) and its routing. The
+conv engine walks a rolling line buffer of kernel-height input rows (zero
+rows at the image edges) and computes each output row for every filter at
+once. Pruned layers carry rectangular kept-channel index lists, decoded
+once per layer by pruning.expand_index; the ledgers charge kept kernels.
 
 The timing model is analytic, not RTL: compute cycles are
 rows * ceil(cout / pe_rows) * ceil(cols / pe_cols) * kh * kw * kept_cin,
@@ -23,18 +23,12 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .data_model import PixelGrid
+from .capsnet import RoutingCfg, correlate
+from .data_model import PixelGrid, routing_flops_per_pixel
 from .errors import BramOverflow, InvalidConfig, ShapeMismatch
-from .quantized import (
-    QuantPlan,
-    _bias_to_acc,
-    _softmax_rows,
-    _squash_rows,
-    requantize,
-    saturate16,
-)
+from .pruning import expand_index
+from .quantized import _bias_to_acc, _exact_float_weights, _routing_fixed, requantize
 
 POLICIES = ("reload_per_block", "weights_resident")
 
@@ -242,15 +236,14 @@ def sim_conv_layer(
     spec: ConvLayerSpec,
     accel: AccelConfig,
     policy: str = "weights_resident",
-    exact_stream_order: bool = False,
 ) -> tuple[np.ndarray, SimReport]:
     """Stream one conv layer through the modeled engine.
 
-    Returns the int16 output activations and a report. With the default
-    ordering (bias added before ReLU) the output matches the whole-tensor
-    fixed-point path bit for bit; exact_stream_order applies ReLU to the
-    raw accumulator before the bias add, the literal engine sequence,
-    and is for studying that discrepancy rather than for inference.
+    Returns the int16 output activations and a report. Each output row is
+    one correlate over the column-padded line buffer; the bias is added to
+    the accumulator before requantization and ReLU, so the output matches
+    the whole-tensor fixed-point path bit for bit. Index entries outside
+    [0, cin) or repeated within a filter raise IndexOutOfRange.
 
     Unlike count_transactions, which counts reads only, this ledger also
     charges bias and index words and the written output stream.
@@ -266,6 +259,10 @@ def sim_conv_layer(
         raise InvalidConfig("kernels must be odd")
     if spec.index is None and kept != cin:
         raise ShapeMismatch(f"dense weights expect cin {kept}, input has {cin}")
+    weight = spec.weight
+    if spec.index is not None:
+        weight = expand_index(weight, spec.index, cin, spec.name)
+    weight = _exact_float_weights(weight)
     shape = LayerShape(rows, cols, kh, kw, cin, cout, cin_kept=kept, cout_kept=cout)
     weight_words = kh * kw * kept * cout + cout + (kept * cout if spec.index is not None else 0)
     if policy == "reload_per_block":
@@ -295,7 +292,6 @@ def sim_conv_layer(
         return out, report
     acc_f = spec.f_in + spec.f_w
     bias_acc = _bias_to_acc(np.asarray(spec.bias), spec.f_b, acc_f)
-    bias_out = requantize(_bias_to_acc(np.asarray(spec.bias), spec.f_b, acc_f), acc_f, spec.f_out)
     pw = kw // 2
     line = np.zeros((kh, cols, cin), dtype=np.int16)
     if kh > 1:
@@ -306,9 +302,6 @@ def sim_conv_layer(
     for k in range(kh // 2 + 1, kh - 1):
         if k - kh // 2 <= rows - 1:
             line[k] = x[k - kh // 2]
-    blocks = -(-cout // accel.pe_rows)
-    w64 = spec.weight.astype(np.int64)
-    idx = None if spec.index is None else np.asarray(spec.index, dtype=np.int64)
     for r in range(rows):
         if kh == 1:
             line[0] = x[r]
@@ -319,24 +312,10 @@ def sim_conv_layer(
                 line[-1] = x[r + kh // 2]
             else:
                 line[-1] = 0
-        padded = np.pad(line, ((0, 0), (pw, pw), (0, 0))) if pw else line
-        windows = sliding_window_view(padded, kw, axis=1)  # [kh, cols, cin, kw]
-        win64 = windows.astype(np.int64)
-        for b in range(blocks):
-            for fidx in range(b * accel.pe_rows, min((b + 1) * accel.pe_rows, cout)):
-                chans = idx[:, fidx] if idx is not None else np.arange(cin)
-                sel = win64[:, :, chans, :]  # [kh, cols, kept, kw]
-                acc = np.einsum("hcnw,hwn->c", sel, w64[:, :, :, fidx])
-                if exact_stream_order:
-                    val = requantize(acc, acc_f, spec.f_out)
-                    if spec.relu:
-                        val = np.maximum(val, 0)
-                    val = saturate16(val.astype(np.int64) + bias_out[fidx]).astype(np.int16)
-                else:
-                    val = requantize(acc + bias_acc[fidx], acc_f, spec.f_out)
-                    if spec.relu:
-                        val = np.maximum(val, 0).astype(np.int16)
-                out[r, :, fidx] = val
+        padded = np.pad(line.astype(np.float64), ((0, 0), (pw, pw), (0, 0)))
+        acc = correlate(padded, weight)[0].astype(np.int64)  # [cols, cout]
+        val = requantize(acc + bias_acc, acc_f, spec.f_out)
+        out[r] = np.maximum(val, 0) if spec.relu else val
     return out, report
 
 
@@ -350,11 +329,10 @@ def routing_cycles_per_pixel(n_caps: int, dim: int, iterations: int) -> int:
 
 
 def _routing_ops_per_pixel(n_in: int, n_out: int, dim: int, iterations: int) -> int:
-    softmax = n_in * (3 * n_out - 1)
-    weighted = 2 * n_in * n_out * dim
-    squash = n_out * (3 * dim + 4)
-    agreement = 2 * n_in * n_out * dim
-    return iterations * (softmax + weighted + squash + agreement)
+    """routing_flops_per_pixel plus the agreement pass the engine runs
+    after the last iteration."""
+    routing = RoutingCfg(n_in, dim, n_out, dim, iterations)
+    return routing_flops_per_pixel(routing) + 2 * n_in * n_out * dim
 
 
 def sim_routing(
@@ -366,12 +344,10 @@ def sim_routing(
     f_logit: int,
     f_pre: int,
 ) -> tuple[np.ndarray, SimReport]:
-    """Per-pixel routing engine pass.
+    """Routing engine pass over a capsule stream [pixels, n_caps, dim].
 
-    Walks pixel blocks one at a time in stream order, sequencing the
-    softmax, weighted-sum, squash, and agreement stages exactly as the
-    engine would; output matches the whole-tensor fixed-point path bit
-    for bit. Output capsules are at scale f_pre.
+    Runs the fixed-point routing (softmax, weighted sum, squash and
+    agreement stages) on every pixel; output capsules are at scale f_pre.
     """
     caps = np.asarray(caps_raw)
     if caps.ndim != 3 or caps.dtype != np.int16:
@@ -379,19 +355,7 @@ def sim_routing(
     pixels, n_in, dim = caps.shape
     if iterations < 1:
         raise InvalidConfig("need at least one routing iteration")
-    out = np.zeros((pixels, n_out, dim), dtype=np.int16)
-    for p in range(pixels):
-        u = caps[p].astype(np.int64)  # [n_in, dim]
-        b = np.zeros((n_in, n_out), dtype=np.int16)
-        for it in range(iterations):
-            c = _softmax_rows(b, f_logit).astype(np.int64)
-            s = requantize(c.T @ u, f_logit + f_caps, f_pre)
-            v = _squash_rows(s, f_pre)
-            if it < iterations - 1:
-                agree = u @ v.astype(np.int64).T
-                b = saturate16(b.astype(np.int64) +
-                               requantize(agree, f_caps + f_pre, f_logit)).astype(np.int16)
-        out[p] = v
+    out = _routing_fixed(caps, f_caps, n_out, iterations, f_logit=f_logit, f_pre=f_pre)
     report = SimReport(clock_hz=accel.clock_hz)
     report.per_layer.append(
         LayerReport(

@@ -204,6 +204,25 @@ class RoutingState:
     output_v: np.ndarray
 
 
+def correlate(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Valid stride-1 cross-correlation by im2col and one matmul per row chunk.
+
+    padded [rows + kh - 1, cols + kw - 1, cin] already carries any border;
+    weights [kh, kw, cin, cout]. Returns [rows, cols, cout].
+    """
+    kh, kw, cin, cout = weights.shape
+    rows, cols = padded.shape[0] - kh + 1, padded.shape[1] - kw + 1
+    out = np.empty((rows, cols, cout), dtype=np.result_type(padded, weights))
+    flat_w = weights.reshape(kh * kw * cin, cout)
+    for start in range(0, rows, _CONV_ROW_CHUNK):
+        stop = min(start + _CONV_ROW_CHUNK, rows)
+        window = sliding_window_view(padded[start : stop + kh - 1], (kh, kw), axis=(0, 1))
+        # window: [chunk, cols, cin, kh, kw] -> [chunk, cols, kh, kw, cin]
+        patch = window.transpose(0, 1, 3, 4, 2).reshape(stop - start, cols, kh * kw * cin)
+        out[start:stop] = patch @ flat_w
+    return out
+
+
 def conv2d(values: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None,
            relu: bool = False) -> np.ndarray:
     """Same-padded stride-1 cross-correlation on channel-last data.
@@ -220,17 +239,8 @@ def conv2d(values: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = No
         raise ShapeMismatch(f"input has {values.shape[2]} channels, weights expect {cin}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise InvalidConfig("conv2d requires odd kernels")
-    rows, cols = values.shape[:2]
     ph, pw = kh // 2, kw // 2
-    padded = np.pad(values, ((ph, ph), (pw, pw), (0, 0)))
-    out = np.empty((rows, cols, cout), dtype=np.result_type(values, weights))
-    flat_w = weights.reshape(kh * kw * cin, cout)
-    for start in range(0, rows, _CONV_ROW_CHUNK):
-        stop = min(start + _CONV_ROW_CHUNK, rows)
-        window = sliding_window_view(padded[start : stop + 2 * ph], (kh, kw), axis=(0, 1))
-        # window: [chunk, cols, cin, kh, kw] -> [chunk, cols, kh, kw, cin]
-        patch = window.transpose(0, 1, 3, 4, 2).reshape(stop - start, cols, kh * kw * cin)
-        out[start:stop] = patch @ flat_w
+    out = correlate(np.pad(values, ((ph, ph), (pw, pw), (0, 0))), weights)
     if bias is not None:
         out = out + np.asarray(bias)
     if relu:

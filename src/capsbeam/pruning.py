@@ -305,6 +305,26 @@ def apply_mask(bundle: WeightBundle, mask: PruneMask) -> WeightBundle:
     return out
 
 
+def expand_index(weight: np.ndarray, index: np.ndarray, cin: int, name: str) -> np.ndarray:
+    """Scatter compacted kernels [kh, kw, kept, cout] into a zero-filled
+    dense [kh, kw, cin, cout] at the input channels index [kept, cout] lists.
+
+    Raises IndexOutOfRange when index is not [kept, cout], names a channel
+    outside [0, cin), or lists one channel twice within a filter.
+    """
+    kh, kw, kept, cout = weight.shape
+    idx = np.asarray(index).astype(np.int64)
+    if idx.shape != (kept, cout):
+        raise IndexOutOfRange(f"{name}: index {idx.shape} does not match ({kept}, {cout}) kernels")
+    if idx.min() < 0 or idx.max() >= cin:
+        raise IndexOutOfRange(f"{name}: index entries outside [0, {cin})")
+    if np.any(np.diff(np.sort(idx, axis=0), axis=0) == 0):
+        raise IndexOutOfRange(f"{name}: a filter lists one input channel twice")
+    dense = np.zeros((kh, kw, cin, cout), dtype=weight.dtype)
+    dense[:, :, idx, np.arange(cout)] = weight
+    return dense
+
+
 def densify(bundle: WeightBundle, layer_names: list[str]) -> WeightBundle:
     """Expand compacted layers back to dense zero-filled weights.
 
@@ -324,7 +344,7 @@ def densify(bundle: WeightBundle, layer_names: list[str]) -> WeightBundle:
         squeeze = w.ndim == 2
         if squeeze:
             w = w.reshape(1, 1, *w.shape)
-        kh, kw, kept, cout = w.shape
+        cout = w.shape[3]
         mask_entry = bundle.entries.get(f"{name}.mask")
         if prev_channels is not None:
             cin = prev_channels
@@ -332,12 +352,7 @@ def densify(bundle: WeightBundle, layer_names: list[str]) -> WeightBundle:
             cin = mask_entry.dims[0]
         else:
             cin = int(index_entry.data.max()) + 1
-        dense = np.zeros((kh, kw, cin, cout), dtype=w.dtype)
-        idx = index_entry.data.astype(np.int64)
-        if idx.min() < 0 or idx.max() >= cin:
-            raise IndexOutOfRange(f"{name}: index entries outside [0, {cin})")
-        for col in range(cout):
-            dense[:, :, idx[:, col], col] = w[:, :, :, col]
+        dense = expand_index(w, index_entry.data, cin, name)
         shape = dense.shape[2:] if squeeze else dense.shape
         out.entries[f"{name}.weight"] = Tensor.from_array(
             dense.reshape(shape), scale_exp=weight.scale_exp

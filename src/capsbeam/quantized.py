@@ -3,9 +3,15 @@
 Numbers are int16 raws with value raw * 2**-f; f comes from a QuantPlan
 produced by calibration (f = 14 - ceil(log2(max(|x|, 2^-14))), capped at
 15, leaving one integer guard bit). One arithmetic rule everywhere:
-products and dot products accumulate exactly in 64-bit, the finished
-accumulator saturates to 32 bits, and every rescale is a power-of-two
-shift rounded half away from zero, saturating to int16.
+products and dot products accumulate exactly, the finished accumulator
+saturates to 32 bits, and every rescale is a power-of-two shift rounded
+half away from zero, saturating to int16.
+
+Conv and fc accumulators run through the float64 im2col matmul of
+capsnet.conv2d. That is exact, not approximate: |int16 * int16| <= 2^30,
+so while a dot product has at most MAX_EXACT_TAPS = 2^23 taps every
+partial sum is an integer of magnitude <= 2^53, which float64 holds
+exactly in any summation order. Larger tap counts raise InvalidConfig.
 
 The softmax exponential is the 5-term Taylor polynomial
 1 + x + x^2/2 + x^3/6 + x^4/24 in Horner form. Its input is clamped to
@@ -30,8 +36,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from . import capsnet
 from .data_model import EnvelopeImage, RfVolume, Tensor, WeightBundle
 from .errors import (
     EmptyCalibration,
@@ -45,8 +51,7 @@ INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 MAX_SCALE_EXP = 15
 TAYLOR_INPUT_LO = -1.59375
 TAYLOR_INPUT_HI = 2.0
-
-_CONV_ROW_CHUNK = 32
+MAX_EXACT_TAPS = 2**23
 
 
 @dataclass(frozen=True)
@@ -236,7 +241,6 @@ def activation_names(cfg) -> list[str]:
 
 def calibrate(bundle: WeightBundle, samples: list[RfVolume], cfg) -> QuantPlan:
     """Derive fraction widths from weight maxima and traced activations."""
-    from . import capsnet
     from .pruning import densify
 
     if not samples:
@@ -306,20 +310,22 @@ def _entry_raw(entry: Tensor, f: int) -> np.ndarray:
     return quantize_array(entry.data, f)
 
 
+def _exact_float_weights(w_raw: np.ndarray) -> np.ndarray:
+    """float64 copy of int16 weights [kh, kw, cin, cout]; InvalidConfig past
+    MAX_EXACT_TAPS taps, where float64 sums stop being exact."""
+    kh, kw, cin, _ = w_raw.shape
+    if kh * kw * cin > MAX_EXACT_TAPS:
+        raise InvalidConfig(
+            f"{kh}x{kw}x{cin} = {kh * kw * cin} taps per output exceed the "
+            f"{MAX_EXACT_TAPS} that float64 accumulates exactly"
+        )
+    return w_raw.astype(np.float64)
+
+
 def _int_conv(x_raw: np.ndarray, w_raw: np.ndarray) -> np.ndarray:
-    """Exact int64 same-padded cross-correlation accumulator."""
-    kh, kw, cin, cout = w_raw.shape
-    rows, cols = x_raw.shape[:2]
-    ph, pw = kh // 2, kw // 2
-    padded = np.pad(x_raw.astype(np.int64), ((ph, ph), (pw, pw), (0, 0)))
-    flat_w = w_raw.astype(np.int64).reshape(kh * kw * cin, cout)
-    acc = np.empty((rows, cols, cout), dtype=np.int64)
-    for start in range(0, rows, _CONV_ROW_CHUNK):
-        stop = min(start + _CONV_ROW_CHUNK, rows)
-        window = sliding_window_view(padded[start : stop + 2 * ph], (kh, kw), axis=(0, 1))
-        patch = window.transpose(0, 1, 3, 4, 2).reshape(stop - start, cols, kh * kw * cin)
-        acc[start:stop] = patch @ flat_w
-    return acc
+    """Exact same-padded cross-correlation accumulator of int16 raws, as int64."""
+    w = _exact_float_weights(w_raw)
+    return capsnet.conv2d(x_raw.astype(np.float64), w).astype(np.int64)
 
 
 def _bias_to_acc(b_raw: np.ndarray, from_f: int, acc_f: int) -> np.ndarray:
@@ -396,8 +402,7 @@ def infer_quantized(rf: RfVolume, cfg, bundle: WeightBundle,
         f_out = plan.scale(f"fc{i}.out")
         w = _entry_raw(bundle.require(f"fc{i}.weight"), f_w)
         b = _entry_raw(bundle.require(f"fc{i}.bias"), f_b)
-        acc = np.einsum("rci,io->rco", x.astype(np.int64), w.astype(np.int64))
-        acc = acc + _bias_to_acc(b, f_b, f_x + f_w)
+        acc = _int_conv(x, w.reshape(1, 1, *w.shape)) + _bias_to_acc(b, f_b, f_x + f_w)
         out = requantize(acc, f_x + f_w, f_out)
         if layer.relu:
             out = np.maximum(out, 0).astype(np.int16)

@@ -25,8 +25,15 @@ from capsbeam.accel_sim import (
 )
 from capsbeam.capsnet import CapsConfig, default_config, toy_config
 from capsbeam.data_model import PixelGrid, routing_flops_per_pixel
-from capsbeam.errors import BramOverflow, InvalidConfig, ShapeMismatch
-from capsbeam.quantized import _bias_to_acc, _int_conv, _routing_fixed, requantize
+from capsbeam.errors import BramOverflow, IndexOutOfRange, InvalidConfig, ShapeMismatch
+from capsbeam.quantized import (
+    _bias_to_acc,
+    _int_conv,
+    _softmax_rows,
+    _squash_rows,
+    requantize,
+    saturate16,
+)
 
 FULL_CONV0 = LayerShape(rows=368, cols=128, kernel_h=3, kernel_w=3, cin=128, cout=128)
 
@@ -143,19 +150,17 @@ def test_sim_conv_pruned_matches_densified():
         3 * 3 * kept * 4 + 4 + kept * 4 + 5 * 6 * 5 + 5 * 6 * 4)
 
 
-def test_exact_stream_order_differs_when_relu_clips():
-    # Negative accumulator, positive bias: adding the bias before ReLU
-    # (the fixed-point path) zeroes the pixel, while the literal engine
-    # order ReLUs first and then adds the bias back.
-    x = np.full((2, 2, 1), 256, dtype=np.int16)
-    spec = ConvLayerSpec(
-        weight=np.full((1, 1, 1, 1), -64, dtype=np.int16),
-        bias=np.full(1, 100, dtype=np.int16),
-        index=None, relu=True, f_in=6, f_w=6, f_b=6, f_out=6)
-    default, _ = sim_conv_layer(x, spec, AccelConfig())
-    literal, _ = sim_conv_layer(x, spec, AccelConfig(), exact_stream_order=True)
-    assert np.all(default == 0)
-    assert np.all(literal == 100)
+@pytest.mark.parametrize("index", [
+    [[0, -1], [1, 2]],  # -1 must not wrap to the last channel
+    [[0, 1], [0, 1]],  # filter 0 lists channel 0 twice
+])
+def test_sim_conv_rejects_bad_index_lists(index):
+    spec = ConvLayerSpec(weight=np.ones((1, 1, 2, 2), dtype=np.int16),
+                         bias=np.zeros(2, dtype=np.int16),
+                         index=np.array(index, dtype=np.int16), relu=False,
+                         f_in=8, f_w=8, f_b=8, f_out=8)
+    with pytest.raises(IndexOutOfRange):
+        sim_conv_layer(np.ones((2, 2, 3), dtype=np.int16), spec, AccelConfig())
 
 
 def test_reload_policy_multiplies_weight_stream():
@@ -222,16 +227,52 @@ def test_single_row_image():
 # ------------------------------------------------------------ routing replay
 
 
+def _routing_per_pixel(caps, n_out, iterations, f_caps, f_logit, f_pre):
+    """Reference routing engine: one pixel at a time in stream order,
+    softmax, weighted sum, squash and agreement as matrix products.
+
+    Returns the output capsules at f_pre and whether any logit update
+    saturated at the int16 limits.
+    """
+    pixels, n_in, dim = caps.shape
+    out = np.zeros((pixels, n_out, dim), dtype=np.int16)
+    saturated = False
+    for p in range(pixels):
+        u = caps[p].astype(np.int64)  # [n_in, dim]
+        b = np.zeros((n_in, n_out), dtype=np.int16)
+        for it in range(iterations):
+            c = _softmax_rows(b, f_logit).astype(np.int64)
+            s = requantize(c.T @ u, f_logit + f_caps, f_pre)
+            v = _squash_rows(s, f_pre)
+            if it < iterations - 1:
+                agree = u @ v.astype(np.int64).T
+                total = b.astype(np.int64) + requantize(agree, f_caps + f_pre, f_logit)
+                saturated |= bool(np.any(saturate16(total) != total))
+                b = saturate16(total).astype(np.int16)
+        out[p] = v
+    return out, saturated
+
+
 def test_sim_routing_matches_fixed_point_path():
     rng = np.random.default_rng(16)
-    caps = rng.integers(-2000, 2000, size=(12, 4, 3)).astype(np.int16)
     f_caps, f_logit, f_pre = 10, 12, 10
-    got, report = sim_routing(caps, AccelConfig(), n_out=2, iterations=3,
-                              f_caps=f_caps, f_logit=f_logit, f_pre=f_pre)
-    expected = _routing_fixed(caps, f_caps, 2, 3, f_logit=f_logit, f_pre=f_pre)
-    np.testing.assert_array_equal(got, expected)
-    assert report.per_layer[0].transactions == 12 * 4 * 3 + 12 * 2 * 3
-    assert report.per_layer[0].stall_cycles == 0
+    # n_in != n_out both ways, 1 and 3 iterations, and raws at the int16
+    # limits, where the logit update saturates.
+    for pixels, n_in, n_out, dim, iterations, limit, saturates in (
+        (12, 4, 2, 3, 3, 2000, False),
+        (9, 2, 5, 4, 1, 2000, False),
+        (7, 3, 3, 8, 3, 32767, True),
+    ):
+        caps = rng.integers(-limit, limit, size=(pixels, n_in, dim), endpoint=True)
+        caps = caps.astype(np.int16)
+        got, report = sim_routing(caps, AccelConfig(), n_out=n_out, iterations=iterations,
+                                  f_caps=f_caps, f_logit=f_logit, f_pre=f_pre)
+        expected, saturated = _routing_per_pixel(caps, n_out, iterations,
+                                                 f_caps, f_logit, f_pre)
+        np.testing.assert_array_equal(got, expected)
+        assert saturated == saturates
+        assert report.per_layer[0].transactions == pixels * (n_in + n_out) * dim
+        assert report.per_layer[0].stall_cycles == 0
 
 
 def test_routing_cycles_affine_formula():

@@ -351,6 +351,21 @@ def test_fc_layers_round_trip_as_pointwise():
         dense.entries["fc0.weight"].data, wf * mask.masks[1])
 
 
+@pytest.mark.parametrize("index", [
+    [[0, -1], [1, 2]],  # -1 must not wrap to the last channel
+    [[0, 1], [0, 1]],  # filter 0 lists channel 0 twice
+    [[0, 1, 2], [1, 2, 0]],  # three filters' lists for two kernels
+])
+def test_densify_rejects_bad_index_lists(index):
+    bundle = WeightBundle()
+    bundle.entries["conv0.weight"] = Tensor.from_array(np.ones((1, 1, 2, 2), np.float32))
+    bundle.entries["conv0.bias"] = Tensor.from_array(np.zeros(2, np.float32))
+    bundle.entries["conv0.index"] = Tensor.from_array(np.array(index, np.int16))
+    bundle.entries["conv0.mask"] = Tensor.from_array(np.ones((3, 2), np.int16))
+    with pytest.raises(IndexOutOfRange):
+        densify(bundle, ["conv0"])
+
+
 def test_fixed_point_scale_exp_survives_round_trip():
     w = (np.arange(16, dtype=np.int16) - 8).reshape(1, 1, 4, 4)
     bundle = WeightBundle()

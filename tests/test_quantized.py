@@ -20,10 +20,12 @@ from capsbeam.errors import (
     ShapeMismatch,
 )
 from capsbeam.quantized import (
+    MAX_EXACT_TAPS,
     MAX_SCALE_EXP,
     TAYLOR_INPUT_HI,
     TAYLOR_INPUT_LO,
     FixedPoint16,
+    _int_conv,
     calibrate,
     dequantize_array,
     exp_taylor5,
@@ -357,3 +359,36 @@ def test_dequantize_round_trip_array():
     assert raw.dtype == np.int16
     back = dequantize_array(raw, f)
     assert np.max(np.abs(back - vals)) <= 2.0 ** -(f + 1)
+
+
+def test_int_conv_exact_at_worst_case_magnitudes():
+    # Every product is (-32768)^2 = 2^30 and interior pixels sum 3*3*128 of
+    # them: 2^40.2, far from float64's 2^53 limit but past int32 and float32.
+    x = np.full((4, 5, 128), -32768, dtype=np.int16)
+    w = np.full((3, 3, 128, 2), -32768, dtype=np.int16)
+    padded = np.pad(x.astype(np.int64), ((1, 1), (1, 1), (0, 0)))
+    expected = sum(
+        padded[dy:dy + 4, dx:dx + 5] @ w[dy, dx].astype(np.int64)
+        for dy in range(3) for dx in range(3)
+    )
+    got = _int_conv(x, w)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+    assert got[1, 1, 0] == 3 * 3 * 128 * 2**30
+
+
+def test_int_conv_rejects_inexact_tap_count_before_converting():
+    import tracemalloc
+
+    taps = MAX_EXACT_TAPS + 1
+    # Zero-stride views: converting either to float64 would allocate 64 MB.
+    x = np.broadcast_to(np.int16(1), (1, 1, taps))
+    w = np.broadcast_to(np.int16(1), (1, 1, taps, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfig):
+            _int_conv(x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
