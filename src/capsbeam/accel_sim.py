@@ -27,7 +27,7 @@ import numpy as np
 from .capsnet import RoutingCfg, correlate
 from .data_model import PixelGrid, routing_flops_per_pixel
 from .errors import BramOverflow, InvalidConfig, ShapeMismatch
-from .pruning import expand_index
+from .pruning import expand_index, kept_per_filter
 from .quantized import _bias_to_acc, _exact_float_weights, _routing_fixed, requantize
 
 POLICIES = ("reload_per_block", "weights_resident")
@@ -226,9 +226,21 @@ def _layer_bram_bytes(shape: LayerShape, accel: AccelConfig, with_index: bool) -
     return (weight_words + line_words + out_words) * wb
 
 
-def _stall_cycles(transactions: int, compute: int, accel: AccelConfig) -> int:
+def _conv_report(name: str, shape: LayerShape, transactions: int, accel: AccelConfig,
+                 with_index: bool) -> LayerReport:
+    """Conv engine ledger row: compute cycles, DMA stall, ops and BRAM for
+    one layer whose external words are already counted."""
+    compute = _conv_compute_cycles(shape, accel)
     need = int(np.ceil(transactions / accel.beat_words_per_cycle))
-    return max(0, need - compute)
+    return LayerReport(
+        name=name,
+        transactions=transactions,
+        compute_cycles=compute,
+        stall_cycles=max(0, need - compute),
+        ops=2 * shape.rows * shape.cols * shape.kernel_h * shape.kernel_w
+        * shape.cin_kept * shape.cout_kept,
+        bram_bytes=_layer_bram_bytes(shape, accel, with_index),
+    )
 
 
 def sim_conv_layer(
@@ -270,23 +282,13 @@ def sim_conv_layer(
     else:
         weight_stream = weight_words
     transactions = weight_stream + rows * cols * cin + rows * cols * cout
-    bram = _layer_bram_bytes(shape, accel, spec.index is not None)
-    if bram > accel.bram_budget_bytes:
+    layer = _conv_report(spec.name, shape, transactions, accel, spec.index is not None)
+    if layer.bram_bytes > accel.bram_budget_bytes:
         raise BramOverflow(
-            f"{spec.name}: working set {bram} B exceeds budget {accel.bram_budget_bytes} B"
+            f"{spec.name}: working set {layer.bram_bytes} B exceeds budget "
+            f"{accel.bram_budget_bytes} B"
         )
-    compute = _conv_compute_cycles(shape, accel)
-    report = SimReport(clock_hz=accel.clock_hz)
-    report.per_layer.append(
-        LayerReport(
-            name=spec.name,
-            transactions=transactions,
-            compute_cycles=compute,
-            stall_cycles=_stall_cycles(transactions, compute, accel),
-            ops=2 * rows * cols * kh * kw * kept * cout,
-            bram_bytes=bram,
-        )
-    )
+    report = SimReport(clock_hz=accel.clock_hz, per_layer=[layer])
     out = np.zeros((rows, cols, cout), dtype=np.int16)
     if rows == 0:
         return out, report
@@ -335,6 +337,19 @@ def _routing_ops_per_pixel(n_in: int, n_out: int, dim: int, iterations: int) -> 
     return routing_flops_per_pixel(routing) + 2 * n_in * n_out * dim
 
 
+def _routing_report(pixels: int, n_in: int, n_out: int, dim: int, iterations: int,
+                    accel: AccelConfig) -> LayerReport:
+    """Routing engine ledger row: capsules in and out once per pixel, no stall."""
+    return LayerReport(
+        name="routing",
+        transactions=pixels * (n_in + n_out) * dim,
+        compute_cycles=pixels * routing_cycles_per_pixel(max(n_in, n_out), dim, iterations),
+        stall_cycles=0,
+        ops=pixels * _routing_ops_per_pixel(n_in, n_out, dim, iterations),
+        bram_bytes=(n_in + n_out) * dim * accel.word_bytes,
+    )
+
+
 def sim_routing(
     caps_raw: np.ndarray,
     accel: AccelConfig,
@@ -355,23 +370,12 @@ def sim_routing(
     pixels, n_in, dim = caps.shape
     if iterations < 1:
         raise InvalidConfig("need at least one routing iteration")
+    if n_out < 1:
+        raise InvalidConfig("need at least one output capsule")
     out = _routing_fixed(caps, f_caps, n_out, iterations, f_logit=f_logit, f_pre=f_pre)
-    report = SimReport(clock_hz=accel.clock_hz)
-    report.per_layer.append(
-        LayerReport(
-            name="routing",
-            transactions=pixels * n_in * dim + pixels * n_out * dim,
-            compute_cycles=pixels * routing_cycles_per_pixel(max(n_in, n_out), dim, iterations),
-            stall_cycles=0,
-            ops=pixels * _routing_ops_per_pixel(n_in, n_out, dim, iterations),
-            bram_bytes=(n_in + n_out) * dim * accel.word_bytes,
-        )
-    )
+    report = SimReport(clock_hz=accel.clock_hz,
+                       per_layer=[_routing_report(pixels, n_in, n_out, dim, iterations, accel)])
     return out, report
-
-
-def _kept_after_prune(cin: int, ratio: float) -> int:
-    return cin - int(np.floor(ratio * cin))
 
 
 def layer_shapes(cfg, grid: PixelGrid, pruned: bool = False,
@@ -382,7 +386,7 @@ def layer_shapes(cfg, grid: PixelGrid, pruned: bool = False,
     conv_like = [(f"conv{i}", l) for i, l in enumerate(cfg.conv_layers)]
     conv_like += [(f"caps{i}", l) for i, l in enumerate(cfg.caps_conv_layers)]
     for name, layer in conv_like:
-        kept = _kept_after_prune(layer.in_ch, prune_ratio) if pruned else None
+        kept = kept_per_filter(layer.in_ch, prune_ratio) if pruned else None
         shapes.append(
             (
                 name,
@@ -426,35 +430,15 @@ def estimate_latency(cfg, grid: PixelGrid, accel: AccelConfig, pruned: bool = Fa
         raise InvalidConfig(f"unknown policy {policy!r}")
     report = SimReport(clock_hz=accel.clock_hz)
     for name, shape in layer_shapes(cfg, grid, pruned=pruned, prune_ratio=prune_ratio):
-        transactions = count_transactions(shape, policy)
-        compute = _conv_compute_cycles(shape, accel)
+        # fc layers are never pruned, so they carry no index words.
+        with_index = pruned and not name.startswith("fc")
         report.per_layer.append(
-            LayerReport(
-                name=name,
-                transactions=transactions,
-                compute_cycles=compute,
-                stall_cycles=_stall_cycles(transactions, compute, accel),
-                ops=2 * shape.rows * shape.cols * shape.kernel_h * shape.kernel_w
-                * shape.cin_kept * shape.cout_kept,
-                bram_bytes=_layer_bram_bytes(shape, accel, with_index=pruned),
-            )
+            _conv_report(name, shape, count_transactions(shape, policy), accel, with_index)
         )
     if cfg.routing is not None:
         r = cfg.routing
-        pixels = grid.num_pixels
         report.per_layer.append(
-            LayerReport(
-                name="routing",
-                transactions=pixels * (r.num_in_capsules + r.num_out_capsules) * r.out_dim,
-                compute_cycles=pixels * routing_cycles_per_pixel(
-                    max(r.num_in_capsules, r.num_out_capsules), r.out_dim, r.num_iterations
-                ),
-                stall_cycles=0,
-                ops=pixels * _routing_ops_per_pixel(
-                    r.num_in_capsules, r.num_out_capsules, r.out_dim, r.num_iterations
-                ),
-                bram_bytes=(r.num_in_capsules + r.num_out_capsules) * r.out_dim
-                * accel.word_bytes,
-            )
+            _routing_report(grid.num_pixels, r.num_in_capsules, r.num_out_capsules,
+                            r.out_dim, r.num_iterations, accel)
         )
     return report

@@ -32,6 +32,7 @@ from .errors import (
     DimOverflow,
     InvalidConfig,
     IoFailure,
+    NonFinite,
     ShapeMismatch,
     TruncatedFile,
     UnknownDtype,
@@ -338,6 +339,9 @@ class RfVolume:
         expect = (self.grid.num_rows, self.grid.num_cols, self.num_channels)
         if arr.shape != expect:
             raise ShapeMismatch(f"samples shape {arr.shape}, geometry implies {expect}")
+        # min/max propagate NaN and expose infinities without a frame-sized mask.
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise NonFinite("RF samples contain NaN or infinity")
         object.__setattr__(self, "samples", arr)
 
 

@@ -46,6 +46,10 @@ class ShapeMismatch(ToolError):
     """Array dims disagree with the declared geometry or layer shape."""
 
 
+class NonFinite(ToolError):
+    """Input samples contain NaN or infinity."""
+
+
 # synthesis and beamforming --------------------------------------------------
 
 class OutOfField(ToolError):

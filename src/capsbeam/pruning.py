@@ -14,10 +14,12 @@ direct-neighbor terms. Layers past either end of the net are skipped.
 Multiplication order is pinned (kernel, upstream hops ascending, then
 downstream hops ascending) so results are reproducible bit for bit.
 
-Quotas are per filter: floor(ratio * cin) kernels pruned in every filter,
-which keeps the kept-index lists rectangular. Ties prune the lower input
-channel first. Filters left with no kernels are removed and their
-downstream input slices are masked out in cascade.
+Quotas are per filter: every filter keeps kept_per_filter(cin, ratio)
+kernels, which keeps the kept-index lists rectangular and, for ratio < 1,
+leaves every filter at least one kernel, so no filter is ever removed.
+Ties prune the lower input channel first. A compacted layer stores its
+kept input channels in an .index list and its [cin, cout] kept-kernel
+mask in .mask, whose dims give the dense input width.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidConfig,
     MaskMismatch,
+    MissingWeight,
     RatioOutOfRange,
     ShapeMismatch,
 )
@@ -159,7 +162,6 @@ class PruneReport:
     ratio_achieved: float
     per_layer_kept: list[int]
     per_layer_total: list[int]
-    removed_filters: list[int]
     params_before: int
     params_after: int
     flops_before: int
@@ -174,22 +176,25 @@ class PruneReport:
         out.write(f"params_after,{self.params_after}\n")
         out.write(f"flops_before,{self.flops_before}\n")
         out.write(f"flops_after,{self.flops_after}\n")
-        for i, (kept, total, removed) in enumerate(
-            zip(self.per_layer_kept, self.per_layer_total, self.removed_filters)
-        ):
+        for i, (kept, total) in enumerate(zip(self.per_layer_kept, self.per_layer_total)):
             out.write(f"layer{i}_kept_kernels,{kept}\n")
             out.write(f"layer{i}_total_kernels,{total}\n")
-            out.write(f"layer{i}_removed_filters,{removed}\n")
         return out.getvalue()
+
+
+def kept_per_filter(cin: int, ratio: float) -> int:
+    """Kernels each filter keeps when a ratio of its cin kernels is pruned,
+    the pruned count rounded down; at least one for ratio < 1."""
+    return cin - int(np.floor(ratio * cin))
 
 
 def plan_prune(net: ConvNetDescription, ratio: float, method: str = "lakp_ml",
                r: int = 2, grid: PixelGrid | None = None) -> tuple[PruneMask, PruneReport]:
     """Select kernels to drop and account for the result.
 
-    Every filter loses its floor(ratio * cin) lowest-scoring kernels;
-    equal scores drop the lower input channel first. FLOP accounting uses
-    the provided grid (stock grid when omitted).
+    Every filter keeps its kept_per_filter(cin, ratio) highest-scoring
+    kernels; equal scores drop the lower input channel first. FLOP
+    accounting uses the provided grid (stock grid when omitted).
     """
     if not 0.0 <= ratio < 1.0:
         raise RatioOutOfRange(f"ratio {ratio} outside [0, 1)")
@@ -200,32 +205,24 @@ def plan_prune(net: ConvNetDescription, ratio: float, method: str = "lakp_ml",
     for li, weights in enumerate(net.layers):
         scores = score_matrix(net, li, method=method, r=r)
         _, _, cin, cout = weights.shape
-        quota = int(np.floor(ratio * cin))
+        quota = cin - kept_per_filter(cin, ratio)
         mask = np.ones((cin, cout), dtype=bool)
         if quota > 0:
             order = np.lexsort((np.arange(cin)[:, None].repeat(cout, 1), scores), axis=0)
             drop = order[:quota]  # [quota, cout] of cin indices, per filter
             mask[drop, np.arange(cout)[None, :]] = False
         masks.append(mask)
-    # Cascade: a filter with no kept kernels disappears, taking its
-    # downstream input slice with it.
-    removed = [0] * len(masks)
-    for li in range(len(masks)):
-        dead = ~masks[li].any(axis=0)
-        removed[li] = int(dead.sum())
-        if li + 1 < len(masks) and dead.any():
-            masks[li + 1][dead, :] = False
     pixels = grid.num_pixels
     kept_counts, totals = [], []
     params_before = params_after = 0
     flops_before = flops_after = 0
-    for weights, mask, dead_count in zip(net.layers, masks, removed):
+    for weights, mask in zip(net.layers, masks):
         kh, kw, cin, cout = weights.shape
         kept = int(mask.sum())
         kept_counts.append(kept)
         totals.append(cin * cout)
         params_before += kh * kw * cin * cout + cout
-        params_after += kh * kw * kept + (cout - dead_count)
+        params_after += kh * kw * kept + cout
         flops_before += 2 * pixels * kh * kw * cin * cout
         flops_after += 2 * pixels * kh * kw * kept
     achieved = 1.0 - sum(kept_counts) / sum(totals)
@@ -236,7 +233,6 @@ def plan_prune(net: ConvNetDescription, ratio: float, method: str = "lakp_ml",
         ratio_achieved=achieved,
         per_layer_kept=kept_counts,
         per_layer_total=totals,
-        removed_filters=removed,
         params_before=params_before,
         params_after=params_after,
         flops_before=flops_before,
@@ -246,59 +242,39 @@ def plan_prune(net: ConvNetDescription, ratio: float, method: str = "lakp_ml",
 
 
 def apply_mask(bundle: WeightBundle, mask: PruneMask) -> WeightBundle:
-    """Compact masked layers into kept-kernel tensors plus index lists.
+    """Compact masked layers into kept-kernel tensors plus index lists;
+    the inverse of expand_index.
 
-    Per layer the output holds <name>.weight [kh, kw, kept, cout'],
-    <name>.index [kept, cout'] (original input-channel positions, remapped
-    past upstream filter removals), <name>.mask [cin, cout], and the
-    surviving biases. Kept counts must be rectangular across surviving
-    filters, which quota-based planning guarantees.
+    Per layer the output holds <name>.weight [kh, kw, kept, cout],
+    <name>.index [kept, cout] (each filter's kept input channels,
+    ascending) and <name>.mask [cin, cout]; biases are unchanged. Every
+    filter must keep the same nonzero number of kernels, which
+    quota-based planning guarantees; otherwise MaskMismatch.
     """
     if not mask.layer_names:
         raise InvalidConfig("mask carries no layer names to apply")
     out = bundle.copy()
-    prev_survivors: np.ndarray | None = None
     for name, m in zip(mask.layer_names, mask.masks):
         weight = bundle.require(f"{name}.weight")
-        bias = bundle.require(f"{name}.bias")
         w = weight.data
         if w.ndim == 2:
             w = w.reshape(1, 1, *w.shape)
         kh, kw, cin, cout = w.shape
         if m.shape != (cin, cout):
             raise MaskMismatch(f"{name}: mask {m.shape} vs weights ({cin}, {cout})")
-        survivors = np.flatnonzero(m.any(axis=0))
-        kept_per_filter = m[:, survivors].sum(axis=0)
-        if survivors.size == 0:
-            raise MaskMismatch(f"{name}: every filter pruned away")
-        if not np.all(kept_per_filter == kept_per_filter[0]):
-            raise MaskMismatch(f"{name}: ragged kept counts {sorted(set(kept_per_filter))}")
-        kept = int(kept_per_filter[0])
-        # Remap kept cin positions to the compacted upstream channel space.
-        if prev_survivors is None:
-            remap = np.arange(cin)
-        else:
-            remap = np.full(cin, -1, dtype=np.int64)
-            remap[prev_survivors] = np.arange(prev_survivors.size)
-        compact = np.empty((kh, kw, kept, survivors.size), dtype=w.dtype)
-        index = np.empty((kept, survivors.size), dtype=np.int16)
-        for col, f in enumerate(survivors):
-            cin_idx = np.flatnonzero(m[:, f])
-            mapped = remap[cin_idx]
-            if np.any(mapped < 0):
-                raise MaskMismatch(f"{name}: kept kernel references a removed channel")
-            compact[:, :, :, col] = w[:, :, cin_idx, f]
-            index[:, col] = mapped.astype(np.int16)
+        counts = m.sum(axis=0)
+        if counts.min() == 0:
+            raise MaskMismatch(f"{name}: filter {int(np.argmin(counts))} keeps no kernels")
+        if counts.max() != counts.min():
+            raise MaskMismatch(f"{name}: ragged kept counts {sorted(set(counts.tolist()))}")
+        index = np.nonzero(m.T)[1].reshape(cout, -1).T  # [kept, cout]
+        compact = w[:, :, index, np.arange(cout)]
         shape = compact.shape if weight.data.ndim == 4 else compact.shape[2:]
         out.entries[f"{name}.weight"] = Tensor.from_array(
-            compact.reshape(shape).astype(weight.data.dtype), scale_exp=weight.scale_exp
+            compact.reshape(shape), scale_exp=weight.scale_exp
         )
-        out.entries[f"{name}.index"] = Tensor.from_array(index)
+        out.entries[f"{name}.index"] = Tensor.from_array(index.astype(np.int16))
         out.entries[f"{name}.mask"] = Tensor.from_array(m.astype(np.int16))
-        out.entries[f"{name}.bias"] = Tensor.from_array(
-            bias.data[survivors], scale_exp=bias.scale_exp
-        )
-        prev_survivors = survivors
     out.metadata["prune_method"] = mask.method
     out.metadata["prune_ratio"] = repr(mask.ratio)
     out.metadata["prune_lookahead"] = str(mask.lookahead)
@@ -328,36 +304,28 @@ def expand_index(weight: np.ndarray, index: np.ndarray, cin: int, name: str) -> 
 def densify(bundle: WeightBundle, layer_names: list[str]) -> WeightBundle:
     """Expand compacted layers back to dense zero-filled weights.
 
-    The dense tensors use the compacted channel spaces (removed filters
-    stay removed); pruned kernel positions are zero. Index and mask
-    entries are dropped.
+    Each compacted layer's input width is read from its .mask dims; a
+    layer with .index but no .mask raises MissingWeight. Pruned kernel
+    positions are zero. Index and mask entries are dropped.
     """
     out = bundle.copy()
-    prev_channels: int | None = None
     for name in layer_names:
         index_entry = bundle.entries.get(f"{name}.index")
         weight = bundle.require(f"{name}.weight")
         if index_entry is None:
-            prev_channels = weight.dims[-1]
             continue
+        mask_entry = bundle.entries.get(f"{name}.mask")
+        if mask_entry is None:
+            raise MissingWeight(f"{name}: .index without .mask gives no input width")
         w = weight.data
         squeeze = w.ndim == 2
         if squeeze:
             w = w.reshape(1, 1, *w.shape)
-        cout = w.shape[3]
-        mask_entry = bundle.entries.get(f"{name}.mask")
-        if prev_channels is not None:
-            cin = prev_channels
-        elif mask_entry is not None:
-            cin = mask_entry.dims[0]
-        else:
-            cin = int(index_entry.data.max()) + 1
-        dense = expand_index(w, index_entry.data, cin, name)
+        dense = expand_index(w, index_entry.data, mask_entry.dims[0], name)
         shape = dense.shape[2:] if squeeze else dense.shape
         out.entries[f"{name}.weight"] = Tensor.from_array(
             dense.reshape(shape), scale_exp=weight.scale_exp
         )
-        out.entries.pop(f"{name}.index", None)
-        out.entries.pop(f"{name}.mask", None)
-        prev_channels = cout
+        out.entries.pop(f"{name}.index")
+        out.entries.pop(f"{name}.mask")
     return out

@@ -301,6 +301,9 @@ def test_sim_routing_validation():
     with pytest.raises(InvalidConfig):
         sim_routing(np.zeros((4, 2, 3), dtype=np.int16), AccelConfig(), 2, 0,
                     f_caps=10, f_logit=12, f_pre=10)
+    with pytest.raises(InvalidConfig):
+        sim_routing(np.zeros((4, 2, 3), dtype=np.int16), AccelConfig(), 0, 3,
+                    f_caps=10, f_logit=12, f_pre=10)
 
 
 # ------------------------------------------------------------ reports
@@ -367,6 +370,20 @@ def test_layer_shapes_names_and_pruning():
     assert pruned["caps0"].cin_kept == 88 - int(np.floor(0.85 * 88))    # 14
     assert pruned["fc0"].cin_kept == 64  # fc layers stay dense
     assert pruned["fc0"].kernel_h == 1
+
+
+def test_pruned_bram_charges_index_to_pruned_layers_only():
+    cfg = default_config()
+    grid = PixelGrid()
+    accel = AccelConfig()
+    dense = {l.name: l.bram_bytes for l in estimate_latency(cfg, grid, accel).per_layer}
+    pruned = {l.name: l.bram_bytes
+              for l in estimate_latency(cfg, grid, accel, pruned=True).per_layer}
+    for name in ("fc0", "fc1", "fc2", "fc3", "routing"):
+        assert pruned[name] == dense[name]
+    # conv and caps layers hold kept weights, bias and one index word per kernel
+    assert [pruned[n] for n in ("conv0", "conv1", "caps0", "caps1")] == [
+        182_528, 156_208, 102_016, 35_456]
 
 
 def test_estimate_latency_orderings():

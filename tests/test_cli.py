@@ -15,7 +15,12 @@ import pytest
 
 from capsbeam import __version__, capsnet, cli
 from capsbeam.config import load_config
-from capsbeam.data_model import Tensor, write_bundle_file, write_tensor_file
+from capsbeam.data_model import (
+    Tensor,
+    read_tensor_file,
+    write_bundle_file,
+    write_tensor_file,
+)
 
 DESK = "configs/desk.ini"
 DEFAULT = "configs/default.ini"
@@ -332,6 +337,17 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     rc = cli.main(["synth", "--config", str(bad_cfg), "--out", str(tmp_path / "o2")])
     assert rc == 1
     assert "InvalidConfig" in capsys.readouterr().err
+
+
+def test_infer_rejects_non_finite_rf(desk_run, tmp_path, capsys):
+    rf = read_tensor_file(str(desk_run["rf"] / "rf_angle2.cbtf")).data.copy()
+    rf[1, 2, 0] = np.nan
+    path = tmp_path / "nan.cbtf"
+    write_tensor_file(Tensor.from_array(rf), str(path))
+    rc = cli.main(["infer", "--config", DESK, "--in", str(path),
+                   "--weights", str(desk_run["weights"]), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "NonFinite" in capsys.readouterr().err
 
 
 def test_tofc_angle_index_checked(desk_run, tmp_path, capsys):

@@ -11,6 +11,7 @@ from capsbeam.capsnet import RoutingCfg, default_config, toy_config
 from capsbeam.data_model import (
     PixelGrid,
     ProbeGeometry,
+    RfVolume,
     Tensor,
     WeightBundle,
     bundle_hash,
@@ -27,6 +28,7 @@ from capsbeam.errors import (
     DimOverflow,
     InvalidConfig,
     MissingWeight,
+    NonFinite,
     TruncatedFile,
     UnknownDtype,
 )
@@ -187,6 +189,16 @@ def test_grid_axes():
     assert np.allclose(grid.row_depths, [5e-3, 6e-3, 7e-3])
     assert np.allclose(grid.col_positions, [-1e-3, 1e-3])
     assert grid.num_pixels == 6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rf_volume_rejects_non_finite(bad):
+    grid = PixelGrid(num_rows=3, num_cols=2)
+    samples = np.zeros((3, 2, 4), dtype=np.float32)
+    RfVolume(grid=grid, num_channels=4, samples=samples)
+    samples[2, 1, 3] = bad
+    with pytest.raises(NonFinite):
+        RfVolume(grid=grid, num_channels=4, samples=samples)
 
 
 # accounting ----------------------------------------------------------------------

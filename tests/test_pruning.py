@@ -18,6 +18,7 @@ from capsbeam.errors import (
     IndexOutOfRange,
     InvalidConfig,
     MaskMismatch,
+    MissingWeight,
     RatioOutOfRange,
     ShapeMismatch,
 )
@@ -163,7 +164,6 @@ def test_quota_is_floor_ratio_cin():
     assert report.per_layer_kept == [4]
     assert report.per_layer_total == [20]
     assert report.ratio_achieved == 1.0 - 4 / 20
-    assert report.removed_filters == [0]
 
 
 def test_tie_break_drops_lower_input_channel():
@@ -295,31 +295,17 @@ def test_pruned_inference_matches_zeroed_inference():
     np.testing.assert_array_equal(via_dense, via_zeroed)
 
 
-def test_dead_filter_cascade_through_apply():
-    w0 = np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2) + 1
-    w1 = np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2) + 5
-    bundle = _bundle_for({"conv0": w0, "conv1": w1})
-    masks = [
-        np.array([[True, False], [True, False]]),   # filter 1 dies
-        np.array([[True, True], [False, False]]),   # its channel is dropped
-    ]
-    pruned = apply_mask(bundle, PruneMask(masks=masks, layer_names=("conv0", "conv1")))
-    assert tuple(pruned.entries["conv0.weight"].dims) == (1, 1, 2, 1)
-    np.testing.assert_array_equal(pruned.entries["conv0.bias"].data, [0.0])
-    assert tuple(pruned.entries["conv1.weight"].dims) == (1, 1, 1, 2)
-    # the surviving channel is remapped to position 0 in the compact space
-    np.testing.assert_array_equal(pruned.entries["conv1.index"].data, [[0, 0]])
-
-
-def test_apply_mask_rejects_removed_channel_reference():
+def test_apply_mask_rejects_zero_kernel_filter():
+    # Quota planning never empties a filter; a hand-built mask that does
+    # has no compacted form, since every filter must keep the same count.
     w0 = np.ones((1, 1, 2, 2), dtype=np.float32)
     w1 = np.ones((1, 1, 2, 2), dtype=np.float32)
     bundle = _bundle_for({"conv0": w0, "conv1": w1})
     masks = [
-        np.array([[True, False], [True, False]]),   # filter 1 dies upstream
-        np.array([[False, False], [True, True]]),   # but stays referenced
+        np.array([[True, False], [True, False]]),   # filter 1 keeps nothing
+        np.array([[True, True], [False, False]]),
     ]
-    with pytest.raises(MaskMismatch):
+    with pytest.raises(MaskMismatch, match="filter 1 keeps no kernels"):
         apply_mask(bundle, PruneMask(masks=masks, layer_names=("conv0", "conv1")))
 
 
@@ -366,6 +352,16 @@ def test_densify_rejects_bad_index_lists(index):
         densify(bundle, ["conv0"])
 
 
+def test_densify_rejects_index_without_mask():
+    # The mask's dims are the only record of the dense input width.
+    bundle = WeightBundle()
+    bundle.entries["conv0.weight"] = Tensor.from_array(np.ones((1, 1, 1, 2), np.float32))
+    bundle.entries["conv0.bias"] = Tensor.from_array(np.zeros(2, np.float32))
+    bundle.entries["conv0.index"] = Tensor.from_array(np.array([[0, 1]], np.int16))
+    with pytest.raises(MissingWeight):
+        densify(bundle, ["conv0"])
+
+
 def test_fixed_point_scale_exp_survives_round_trip():
     w = (np.arange(16, dtype=np.int16) - 8).reshape(1, 1, 4, 4)
     bundle = WeightBundle()
@@ -407,3 +403,12 @@ def test_quota_property(seed, ratio, depth):
         expected_kept = cin - int(np.floor(ratio * cin))
         assert m.sum(axis=0).tolist() == [expected_kept] * cout
     assert report.ratio_achieved <= ratio + 1e-12
+    # apply_mask and densify are inverse: the round trip zeroes exactly
+    # the pruned kernels, including a top input channel pruned everywhere.
+    names = [f"conv{i}" for i in range(depth)]
+    bundle = _bundle_for(dict(zip(names, net.layers)))
+    pruned = apply_mask(bundle, PruneMask(masks=mask.masks, layer_names=tuple(names)))
+    dense = densify(pruned, names)
+    for name, m in zip(names, mask.masks):
+        expected = bundle.entries[f"{name}.weight"].data * m[None, None]
+        np.testing.assert_array_equal(dense.entries[f"{name}.weight"].data, expected)
