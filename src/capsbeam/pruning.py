@@ -305,8 +305,9 @@ def densify(bundle: WeightBundle, layer_names: list[str]) -> WeightBundle:
     """Expand compacted layers back to dense zero-filled weights.
 
     Each compacted layer's input width is read from its .mask dims; a
-    layer with .index but no .mask raises MissingWeight. Pruned kernel
-    positions are zero. Index and mask entries are dropped.
+    layer with .index but no .mask raises MissingWeight, and a mask that
+    is not [cin, cout] raises MaskMismatch. Pruned kernel positions are
+    zero. Index and mask entries are dropped.
     """
     out = bundle.copy()
     for name in layer_names:
@@ -321,6 +322,8 @@ def densify(bundle: WeightBundle, layer_names: list[str]) -> WeightBundle:
         squeeze = w.ndim == 2
         if squeeze:
             w = w.reshape(1, 1, *w.shape)
+        if len(mask_entry.dims) != 2 or mask_entry.dims[1] != w.shape[3]:
+            raise MaskMismatch(f"{name}: mask {mask_entry.dims} vs {w.shape[3]} filters")
         dense = expand_index(w, index_entry.data, mask_entry.dims[0], name)
         shape = dense.shape[2:] if squeeze else dense.shape
         out.entries[f"{name}.weight"] = Tensor.from_array(

@@ -352,7 +352,7 @@ def test_densify_rejects_bad_index_lists(index):
         densify(bundle, ["conv0"])
 
 
-def test_densify_rejects_index_without_mask():
+def test_densify_input_width_comes_from_mask():
     # The mask's dims are the only record of the dense input width.
     bundle = WeightBundle()
     bundle.entries["conv0.weight"] = Tensor.from_array(np.ones((1, 1, 1, 2), np.float32))
@@ -360,6 +360,14 @@ def test_densify_rejects_index_without_mask():
     bundle.entries["conv0.index"] = Tensor.from_array(np.array([[0, 1]], np.int16))
     with pytest.raises(MissingWeight):
         densify(bundle, ["conv0"])
+    bundle.entries["conv0.mask"] = Tensor.from_array(np.ones((3, 7), np.int16))
+    with pytest.raises(MaskMismatch):
+        densify(bundle, ["conv0"])
+    # Channel 2 is pruned from every filter, so .index alone cannot show it.
+    kept = np.array([[1, 0], [0, 1], [0, 0]], np.int16)
+    bundle.entries["conv0.mask"] = Tensor.from_array(kept)
+    dense = densify(bundle, ["conv0"])
+    np.testing.assert_array_equal(dense.entries["conv0.weight"].data[0, 0], kept)
 
 
 def test_fixed_point_scale_exp_survives_round_trip():
@@ -403,8 +411,8 @@ def test_quota_property(seed, ratio, depth):
         expected_kept = cin - int(np.floor(ratio * cin))
         assert m.sum(axis=0).tolist() == [expected_kept] * cout
     assert report.ratio_achieved <= ratio + 1e-12
-    # apply_mask and densify are inverse: the round trip zeroes exactly
-    # the pruned kernels, including a top input channel pruned everywhere.
+    # densify inverts apply_mask: the round trip zeroes exactly the
+    # pruned kernels and keeps each layer's input width.
     names = [f"conv{i}" for i in range(depth)]
     bundle = _bundle_for(dict(zip(names, net.layers)))
     pruned = apply_mask(bundle, PruneMask(masks=mask.masks, layer_names=tuple(names)))
