@@ -382,39 +382,13 @@ def layer_shapes(cfg, grid: PixelGrid, pruned: bool = False,
                  prune_ratio: float = 0.85) -> list[tuple[str, LayerShape]]:
     """Memory-system geometry for every weighted layer of a network."""
     cfg.validate()
-    shapes: list[tuple[str, LayerShape]] = []
-    conv_like = [(f"conv{i}", l) for i, l in enumerate(cfg.conv_layers)]
-    conv_like += [(f"caps{i}", l) for i, l in enumerate(cfg.caps_conv_layers)]
-    for name, layer in conv_like:
-        kept = kept_per_filter(layer.in_ch, prune_ratio) if pruned else None
-        shapes.append(
-            (
-                name,
-                LayerShape(
-                    rows=grid.num_rows,
-                    cols=grid.num_cols,
-                    kernel_h=layer.kernel_h,
-                    kernel_w=layer.kernel_w,
-                    cin=layer.in_ch,
-                    cout=layer.out_ch,
-                    cin_kept=kept,
-                ),
-            )
-        )
-    for i, layer in enumerate(cfg.fc_layers):
-        shapes.append(
-            (
-                f"fc{i}",
-                LayerShape(
-                    rows=grid.num_rows,
-                    cols=grid.num_cols,
-                    kernel_h=1,
-                    kernel_w=1,
-                    cin=layer.in_features,
-                    cout=layer.out_features,
-                ),
-            )
-        )
+    shapes = []
+    for layer in cfg.weighted_layers():
+        kept = kept_per_filter(layer.in_ch, prune_ratio) if pruned and layer.prunable else None
+        shapes.append((layer.name, LayerShape(
+            rows=grid.num_rows, cols=grid.num_cols, kernel_h=layer.kernel_h,
+            kernel_w=layer.kernel_w, cin=layer.in_ch, cout=layer.out_ch, cin_kept=kept,
+        )))
     return shapes
 
 
@@ -423,18 +397,19 @@ def estimate_latency(cfg, grid: PixelGrid, accel: AccelConfig, pruned: bool = Fa
     """Whole-network analytic report; no activations are touched.
 
     Conv, capsule conv, and pointwise FC layers use the conv engine
-    model; routing adds its per-pixel stage costs. A zero-layer config
-    yields an empty report with zero cycles.
+    model; routing adds its per-pixel stage costs. With pruned=True the
+    layers pruning compacts (conv and caps, at any ratio) also hold index
+    words; fc layers stay dense. A zero-layer config yields an empty
+    report with zero cycles.
     """
     if policy not in POLICIES:
         raise InvalidConfig(f"unknown policy {policy!r}")
     report = SimReport(clock_hz=accel.clock_hz)
-    for name, shape in layer_shapes(cfg, grid, pruned=pruned, prune_ratio=prune_ratio):
-        # fc layers are never pruned, so they carry no index words.
-        with_index = pruned and not name.startswith("fc")
-        report.per_layer.append(
-            _conv_report(name, shape, count_transactions(shape, policy), accel, with_index)
-        )
+    shapes = layer_shapes(cfg, grid, pruned=pruned, prune_ratio=prune_ratio)
+    for layer, (name, shape) in zip(cfg.weighted_layers(), shapes):
+        report.per_layer.append(_conv_report(
+            name, shape, count_transactions(shape, policy), accel, pruned and layer.prunable
+        ))
     if cfg.routing is not None:
         r = cfg.routing
         report.per_layer.append(

@@ -11,7 +11,8 @@ in_dim must equal out_dim. Inference only; training is out of scope.
 Weight bundle naming: conv0.weight/conv0.bias, conv1.*, caps0.*, caps1.*,
 fc0.* .. fc3.*. Conv weights are [kh, kw, cin, cout] cross-correlation
 kernels with zero padding (kh - 1) / 2 and stride 1; FC weights are
-[in, out] applied as x @ W + b.
+[in, out] applied as x @ W + b. CapsConfig.weighted_layers() states this
+layout, and layer_entries fetches one layer's checked entries.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data_model import EnvelopeImage, PixelGrid, RfVolume, Tensor, WeightBundle
+from .data_model import EnvelopeImage, PixelGrid, RfVolume, Tensor, WeightBundle, require_finite
 from .errors import InvalidConfig, MissingWeight, ShapeMismatch
 
 # Rows processed per conv chunk; bounds the im2col working set on full frames.
@@ -92,6 +93,21 @@ class FcLayerCfg:
 
 
 @dataclass(frozen=True)
+class WeightedLayer:
+    """One weighted layer as the bundle stores it: entry prefix, conv
+    geometry (fc layers are 1x1), stored weight dims, and whether pruning
+    compacts it."""
+
+    name: str
+    kernel_h: int
+    kernel_w: int
+    in_ch: int
+    out_ch: int
+    weight_dims: tuple[int, ...]
+    prunable: bool
+
+
+@dataclass(frozen=True)
 class CapsConfig:
     """Full network description. Partial configs (subsets of stages) are
     valid for accounting; inference requires every stage present."""
@@ -141,11 +157,24 @@ class CapsConfig:
             span += layer.kernel_h - 1
         return span
 
+    def weighted_layers(self) -> list[WeightedLayer]:
+        """Every weighted layer in bundle order: conv{i}, caps{i}, fc{i}.
+
+        Conv and capsule conv weights are [kh, kw, cin, cout] and pruning
+        compacts them; fc weights are [in, out] and stay dense.
+        """
+        layers = []
+        for kind, stage in (("conv", self.conv_layers), ("caps", self.caps_conv_layers)):
+            for i, l in enumerate(stage):
+                dims = (l.kernel_h, l.kernel_w, l.in_ch, l.out_ch)
+                layers.append(WeightedLayer(f"{kind}{i}", *dims, weight_dims=dims, prunable=True))
+        for i, l in enumerate(self.fc_layers):
+            dims = (l.in_features, l.out_features)
+            layers.append(WeightedLayer(f"fc{i}", 1, 1, *dims, weight_dims=dims, prunable=False))
+        return layers
+
     def layer_names(self) -> list[str]:
-        names = [f"conv{i}" for i in range(len(self.conv_layers))]
-        names += [f"caps{i}" for i in range(len(self.caps_conv_layers))]
-        names += [f"fc{i}" for i in range(len(self.fc_layers))]
-        return names
+        return [layer.name for layer in self.weighted_layers()]
 
 
 def default_config() -> CapsConfig:
@@ -309,41 +338,39 @@ def init_weights(cfg: CapsConfig, seed: int = 0) -> WeightBundle:
     cfg.validate()
     rng = np.random.default_rng(seed)
     bundle = WeightBundle(metadata={"init_seed": str(seed)})
-
-    def glorot(shape, fan_in, fan_out):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-    conv_like = [(f"conv{i}", l) for i, l in enumerate(cfg.conv_layers)]
-    conv_like += [(f"caps{i}", l) for i, l in enumerate(cfg.caps_conv_layers)]
-    for name, layer in conv_like:
-        shape = (layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
-        fan = layer.kernel_h * layer.kernel_w
-        bundle.entries[f"{name}.weight"] = Tensor.from_array(
-            glorot(shape, fan * layer.in_ch, fan * layer.out_ch)
+    for layer in cfg.weighted_layers():
+        taps = layer.kernel_h * layer.kernel_w
+        bound = np.sqrt(6.0 / (taps * layer.in_ch + taps * layer.out_ch))
+        size = (taps, layer.in_ch, layer.out_ch)
+        weight = rng.uniform(-bound, bound, size=size).astype(np.float32)
+        bundle.entries[f"{layer.name}.weight"] = Tensor.from_array(
+            weight.reshape(layer.weight_dims)
         )
-        bundle.entries[f"{name}.bias"] = Tensor.from_array(
+        bundle.entries[f"{layer.name}.bias"] = Tensor.from_array(
             np.zeros(layer.out_ch, dtype=np.float32)
-        )
-    for i, layer in enumerate(cfg.fc_layers):
-        shape = (layer.in_features, layer.out_features)
-        bundle.entries[f"fc{i}.weight"] = Tensor.from_array(
-            glorot(shape, layer.in_features, layer.out_features)
-        )
-        bundle.entries[f"fc{i}.bias"] = Tensor.from_array(
-            np.zeros(layer.out_features, dtype=np.float32)
         )
     return bundle
 
 
-def _layer_arrays(bundle: WeightBundle, name: str, expect_shape) -> tuple[np.ndarray, np.ndarray]:
-    weight = bundle.require(f"{name}.weight")
-    bias = bundle.require(f"{name}.bias")
-    if tuple(weight.dims) != tuple(expect_shape):
+def layer_entries(bundle: WeightBundle, layer: WeightedLayer) -> tuple[Tensor, Tensor]:
+    """A layer's weight and bias entries, checked against its config.
+
+    MissingWeight when either is absent; ShapeMismatch unless the weight
+    has the layer's weight dims and the bias is [cout]; NonFinite when
+    either holds NaN or infinity.
+    """
+    weight = bundle.require(f"{layer.name}.weight")
+    bias = bundle.require(f"{layer.name}.bias")
+    if weight.dims != layer.weight_dims:
         raise ShapeMismatch(
-            f"{name}.weight dims {weight.dims}, config implies {tuple(expect_shape)}"
+            f"{layer.name}.weight dims {weight.dims}, config implies {layer.weight_dims}"
         )
-    return weight.data.astype(np.float64), bias.data.astype(np.float64)
+    if bias.dims != (layer.out_ch,):
+        raise ShapeMismatch(
+            f"{layer.name}.bias dims {bias.dims}, config implies ({layer.out_ch},)"
+        )
+    require_finite(f"{layer.name} weights", weight.data, bias.data)
+    return weight, bias
 
 
 def _trace(trace: dict | None, name: str, values: np.ndarray):
@@ -366,17 +393,13 @@ def infer(rf: RfVolume, cfg: CapsConfig, weights: WeightBundle,
         )
     x = rf.samples.astype(np.float64)
     _trace(trace, "input", x)
+    stored = iter(cfg.weighted_layers())  # bundle order: conv, caps, fc, as below
     for i, layer in enumerate(cfg.conv_layers):
-        w, b = _layer_arrays(
-            weights, f"conv{i}", (layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
-        )
+        w, b = (t.data.astype(np.float64) for t in layer_entries(weights, next(stored)))
         x = conv2d(x, w, b, relu=layer.relu)
         _trace(trace, f"conv{i}.out", x)
-    caps = None
     for i, layer in enumerate(cfg.caps_conv_layers):
-        w, b = _layer_arrays(
-            weights, f"caps{i}", (layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
-        )
+        w, b = (t.data.astype(np.float64) for t in layer_entries(weights, next(stored)))
         pre = conv2d(x, w, b, relu=False)
         _trace(trace, f"caps{i}.pre", pre)
         rows, cols = pre.shape[:2]
@@ -402,7 +425,7 @@ def infer(rf: RfVolume, cfg: CapsConfig, weights: WeightBundle,
         v = dynamic_routing(u_hat, routing.num_iterations)
     x = v.reshape(rows, cols, routing.num_out_capsules * routing.out_dim)
     for i, layer in enumerate(cfg.fc_layers):
-        w, b = _layer_arrays(weights, f"fc{i}", (layer.in_features, layer.out_features))
+        w, b = (t.data.astype(np.float64) for t in layer_entries(weights, next(stored)))
         x = x @ w + b
         if layer.relu:
             x = np.maximum(x, 0)

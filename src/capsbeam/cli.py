@@ -242,8 +242,7 @@ def _cmd_infer(args) -> int:
 
 def _prune_once(bundle: WeightBundle, cfg: RunConfig, method: str, ratio: float,
                 r: int) -> tuple[WeightBundle, pruning.PruneReport]:
-    names = [f"conv{i}" for i in range(len(cfg.capsnet.conv_layers))]
-    names += [f"caps{i}" for i in range(len(cfg.capsnet.caps_conv_layers))]
+    names = [layer.name for layer in cfg.capsnet.weighted_layers() if layer.prunable]
     net = pruning.ConvNetDescription.from_bundle(bundle, names)
     mask, report = pruning.plan_prune(net, ratio, method=method, r=r, grid=cfg.grid)
     return pruning.apply_mask(bundle, mask), report
@@ -323,23 +322,10 @@ def _cmd_quantize(args) -> int:
     return 0
 
 
-def _cli_layer_to_internal(cfg: RunConfig, cli_name: str) -> str:
-    """conv1/caps1/fc1 are 1-based on the command line."""
-    if cli_name == "routing":
-        return "routing"
-    for prefix, count in (
-        ("conv", len(cfg.capsnet.conv_layers)),
-        ("caps", len(cfg.capsnet.caps_conv_layers)),
-        ("fc", len(cfg.capsnet.fc_layers)),
-    ):
-        if cli_name.startswith(prefix):
-            suffix = cli_name[len(prefix):]
-            if not suffix.isdigit() or not 1 <= int(suffix) <= count:
-                raise InvalidConfig(
-                    f"--layer {cli_name}: index out of range (1..{count})"
-                )
-            return f"{prefix}{int(suffix) - 1}"
-    raise InvalidConfig(f"--layer {cli_name}: unknown layer name")
+def _one_based(name: str) -> str:
+    """conv0 -> conv1: layer indices are 1-based on the command line."""
+    stem = name.rstrip("0123456789")
+    return f"{stem}{int(name[len(stem):]) + 1}" if stem != name else name
 
 
 def _cmd_sim(args) -> int:
@@ -352,10 +338,10 @@ def _cmd_sim(args) -> int:
     if args.layer == "all":
         report = full
     else:
-        internal = _cli_layer_to_internal(cfg, args.layer)
-        picked = [l for l in full.per_layer if l.name == internal]
+        picked = [l for l in full.per_layer if _one_based(l.name) == args.layer]
         if not picked:
-            raise InvalidConfig(f"--layer {args.layer}: not present in this config")
+            names = ", ".join(_one_based(l.name) for l in full.per_layer)
+            raise InvalidConfig(f"--layer {args.layer}: not in this config ({names})")
         picked[0].name = args.layer
         report = accel_sim.SimReport(clock_hz=cfg.accel.clock_hz, per_layer=picked)
     out = _OutDir(args.out, cfg.config_hash)

@@ -39,6 +39,7 @@ from .data_model import PixelGrid, ProbeGeometry
 from .errors import InvalidConfig, IoFailure
 from .metrics import RegionSpec
 from .phantom import CystRegion, Phantom
+from .pruning import METHODS
 
 DEFAULT_ANGLES_DEG = (-0.86, -0.43, 0.0, 0.43, 0.86)
 
@@ -338,7 +339,7 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
         sec = parser["prune"]
         _check_keys("prune", sec, ("method", "ratio", "lookahead"))
         method = sec.get("method", "lakp_ml").strip()
-        if method not in ("magnitude", "lakp", "lakp_ml"):
+        if method not in METHODS:
             raise InvalidConfig(f"[prune] method: unknown {method!r}")
         kwargs["prune"] = PruneSettings(
             method=method,

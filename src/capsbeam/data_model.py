@@ -22,6 +22,7 @@ the value's UTF-8 bytes widened into a fixed16 payload.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -326,6 +327,15 @@ class PixelGrid:
         return self.num_rows * self.num_cols
 
 
+def require_finite(what: str, *arrays: np.ndarray) -> None:
+    """Raise NonFinite naming what unless every array is free of NaN and
+    infinity. min/max propagate NaN and expose infinities without an
+    array-sized mask."""
+    for arr in arrays:
+        if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+            raise NonFinite(f"{what} contain NaN or infinity")
+
+
 @dataclass(frozen=True)
 class RfVolume:
     """Time-of-flight corrected channel data, [rows, cols, channels]."""
@@ -339,9 +349,7 @@ class RfVolume:
         expect = (self.grid.num_rows, self.grid.num_cols, self.num_channels)
         if arr.shape != expect:
             raise ShapeMismatch(f"samples shape {arr.shape}, geometry implies {expect}")
-        # min/max propagate NaN and expose infinities without a frame-sized mask.
-        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            raise NonFinite("RF samples contain NaN or infinity")
+        require_finite("RF samples", arr)
         object.__setattr__(self, "samples", arr)
 
 
@@ -361,8 +369,7 @@ class EnvelopeImage:
             raise ShapeMismatch(
                 f"envelope parts {i_arr.shape}/{q_arr.shape}, grid implies {expect}"
             )
-        if not (np.isfinite(i_arr).all() and np.isfinite(q_arr).all()):
-            raise ShapeMismatch("envelope values must be finite")
+        require_finite("envelope values", i_arr, q_arr)
         object.__setattr__(self, "i_part", i_arr)
         object.__setattr__(self, "q_part", q_arr)
 
@@ -373,20 +380,12 @@ class EnvelopeImage:
 # parameter and op accounting ----------------------------------------------------
 
 
-def _conv_params(layer) -> int:
-    return layer.kernel_h * layer.kernel_w * layer.in_ch * layer.out_ch + layer.out_ch
-
-
 def count_params(cfg) -> int:
     """Total trainable parameter count (weights plus biases, routing has none)."""
     cfg.validate()
     total = 0
-    for layer in cfg.conv_layers:
-        total += _conv_params(layer)
-    for layer in cfg.caps_conv_layers:
-        total += _conv_params(layer)
-    for layer in cfg.fc_layers:
-        total += layer.in_features * layer.out_features + layer.out_features
+    for layer in cfg.weighted_layers():
+        total += layer.kernel_h * layer.kernel_w * layer.in_ch * layer.out_ch + layer.out_ch
     return total
 
 
@@ -416,10 +415,8 @@ def count_flops(cfg, grid: PixelGrid) -> int:
     cfg.validate()
     pixels = grid.num_pixels
     total = 0
-    for layer in list(cfg.conv_layers) + list(cfg.caps_conv_layers):
+    for layer in cfg.weighted_layers():
         total += 2 * pixels * layer.kernel_h * layer.kernel_w * layer.in_ch * layer.out_ch
     if cfg.routing is not None:
         total += pixels * routing_flops_per_pixel(cfg.routing)
-    for layer in cfg.fc_layers:
-        total += 2 * pixels * layer.in_features * layer.out_features
     return total

@@ -47,7 +47,7 @@ class ShapeMismatch(ToolError):
 
 
 class NonFinite(ToolError):
-    """Input samples contain NaN or infinity."""
+    """Samples, envelopes or weights contain NaN or infinity."""
 
 
 # synthesis and beamforming --------------------------------------------------
@@ -98,10 +98,6 @@ class EmptyCalibration(ToolError):
 
 class MissingScale(ToolError):
     """Quantization plan lacks a scale for a required tensor."""
-
-
-class AllZeroExpSum(ToolError):
-    """Softmax denominator underflowed to zero (uniform fallback applies)."""
 
 
 # accelerator simulation -----------------------------------------------------

@@ -249,10 +249,15 @@ def apply_mask(bundle: WeightBundle, mask: PruneMask) -> WeightBundle:
     <name>.index [kept, cout] (each filter's kept input channels,
     ascending) and <name>.mask [cin, cout]; biases are unchanged. Every
     filter must keep the same nonzero number of kernels, which
-    quota-based planning guarantees; otherwise MaskMismatch.
+    quota-based planning guarantees, and the mask must name one layer
+    per mask; otherwise MaskMismatch.
     """
     if not mask.layer_names:
         raise InvalidConfig("mask carries no layer names to apply")
+    if len(mask.layer_names) != len(mask.masks):
+        raise MaskMismatch(
+            f"mask names {len(mask.layer_names)} layers but holds {len(mask.masks)} masks"
+        )
     out = bundle.copy()
     for name, m in zip(mask.layer_names, mask.masks):
         weight = bundle.require(f"{name}.weight")

@@ -147,19 +147,14 @@ def exp_taylor5(x: FixedPoint16) -> FixedPoint16:
 def _softmax_rows(raw, f: int) -> np.ndarray:
     """Softmax along the last axis of int raws at scale f, output at f.
 
-    Each row subtracts its max before the Taylor exponential. A zero
-    denominator (impossible for in-range inputs since the polynomial is
-    positive, guarded anyway) falls back to the uniform distribution.
+    Each row subtracts its max before the Taylor exponential, so its
+    largest entry maps to exp(0), a raw of min(2^f, 32767) >= 1, and the
+    denominator is never zero.
     """
     rows = np.asarray(raw, dtype=np.int64)
-    n = rows.shape[-1]
     shifted = saturate16(rows - rows.max(axis=-1, keepdims=True))
     e = _exp_taylor5_raw(shifted, f)
-    total = e.sum(axis=-1, keepdims=True)
-    uniform = int(_round_half_away(np.float64(2.0**f / n)))
-    safe_total = np.where(total > 0, total, 1)
-    c = _divide_round_half_away(e << f, safe_total)
-    c = np.where(total > 0, c, uniform)
+    c = _divide_round_half_away(e << f, e.sum(axis=-1, keepdims=True))
     return saturate16(c).astype(np.int16)
 
 
@@ -208,11 +203,9 @@ def fixed_squash(s: list[FixedPoint16]) -> list[FixedPoint16]:
 
 @dataclass
 class QuantPlan:
-    """Per-tensor fraction widths plus the fixed arithmetic conventions."""
+    """Per-tensor fraction widths."""
 
     scales: dict[str, int] = field(default_factory=dict)
-    accumulator_bits: int = 32
-    rounding: str = "half-away-from-zero"
 
     def scale(self, name: str) -> int:
         if name not in self.scales:
@@ -352,28 +345,26 @@ def infer_quantized(rf: RfVolume, cfg, bundle: WeightBundle,
         )
     f_x = plan.scale("input")
     x = quantize_array(rf.samples, f_x)
+    stored = iter(cfg.weighted_layers())  # bundle order: conv, caps, fc, as below
     for i, layer in enumerate(cfg.conv_layers):
         f_w = plan.scale(f"conv{i}.weight")
         f_b = plan.scale(f"conv{i}.bias")
         f_out = plan.scale(f"conv{i}.out")
-        w = _entry_raw(bundle.require(f"conv{i}.weight"), f_w)
-        if w.shape != (layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch):
-            raise ShapeMismatch(f"conv{i}.weight dims {w.shape} do not match config")
-        b = _entry_raw(bundle.require(f"conv{i}.bias"), f_b)
+        w_entry, b_entry = capsnet.layer_entries(bundle, next(stored))
+        w, b = _entry_raw(w_entry, f_w), _entry_raw(b_entry, f_b)
         acc = _int_conv(x, w) + _bias_to_acc(b, f_b, f_x + f_w)
         out = requantize(acc, f_x + f_w, f_out)
         if layer.relu:
             out = np.maximum(out, 0).astype(np.int16)
         x, f_x = out, f_out
-    caps = None
     f_caps = f_x
     for i, layer in enumerate(cfg.caps_conv_layers):
         f_w = plan.scale(f"caps{i}.weight")
         f_b = plan.scale(f"caps{i}.bias")
         f_pre = plan.scale(f"caps{i}.pre")
         f_out = plan.scale(f"caps{i}.out")
-        w = _entry_raw(bundle.require(f"caps{i}.weight"), f_w)
-        b = _entry_raw(bundle.require(f"caps{i}.bias"), f_b)
+        w_entry, b_entry = capsnet.layer_entries(bundle, next(stored))
+        w, b = _entry_raw(w_entry, f_w), _entry_raw(b_entry, f_b)
         acc = _int_conv(x, w) + _bias_to_acc(b, f_b, f_x + f_w)
         pre = requantize(acc, f_x + f_w, f_pre)
         rows, cols = pre.shape[:2]
@@ -400,8 +391,8 @@ def infer_quantized(rf: RfVolume, cfg, bundle: WeightBundle,
         f_w = plan.scale(f"fc{i}.weight")
         f_b = plan.scale(f"fc{i}.bias")
         f_out = plan.scale(f"fc{i}.out")
-        w = _entry_raw(bundle.require(f"fc{i}.weight"), f_w)
-        b = _entry_raw(bundle.require(f"fc{i}.bias"), f_b)
+        w_entry, b_entry = capsnet.layer_entries(bundle, next(stored))
+        w, b = _entry_raw(w_entry, f_w), _entry_raw(b_entry, f_b)
         acc = _int_conv(x, w.reshape(1, 1, *w.shape)) + _bias_to_acc(b, f_b, f_x + f_w)
         out = requantize(acc, f_x + f_w, f_out)
         if layer.relu:

@@ -384,6 +384,14 @@ def test_pruned_bram_charges_index_to_pruned_layers_only():
     # conv and caps layers hold kept weights, bias and one index word per kernel
     assert [pruned[n] for n in ("conv0", "conv1", "caps0", "caps1")] == [
         182_528, 156_208, 102_016, 35_456]
+    # at ratio 0 every kernel is kept, yet pruned conv/caps layers still
+    # hold one index word per kernel and fc layers none
+    kept_all = {l.name: l.bram_bytes for l in estimate_latency(
+        cfg, grid, accel, pruned=True, prune_ratio=0.0).per_layer}
+    for layer in cfg.weighted_layers():
+        index_bytes = layer.in_ch * layer.out_ch * accel.word_bytes if layer.prunable else 0
+        assert kept_all[layer.name] == dense[layer.name] + index_bytes
+    assert kept_all["routing"] == dense["routing"]
 
 
 def test_estimate_latency_orderings():

@@ -20,6 +20,7 @@ from capsbeam.capsnet import (
     RoutingState,
     caps_conv_layer,
     conv2d,
+    default_config,
     dynamic_routing,
     infer,
     init_weights,
@@ -27,7 +28,7 @@ from capsbeam.capsnet import (
     squash,
     toy_config,
 )
-from capsbeam.data_model import PixelGrid, RfVolume
+from capsbeam.data_model import PixelGrid, RfVolume, bundle_hash
 from capsbeam.errors import InvalidConfig, MissingWeight, ShapeMismatch
 
 
@@ -282,6 +283,27 @@ def test_init_weights_deterministic(toy_cfg):
     for name in a.entries:
         if name.endswith(".bias"):
             assert np.all(a.entries[name].data == 0.0)
+
+
+def test_init_weights_bytes_frozen():
+    # Entry names, dims and payloads of the stock and toy seed-7 bundles.
+    assert bundle_hash(init_weights(default_config(), seed=7)) == "fa9d426a9d69"
+    assert bundle_hash(init_weights(toy_config(), seed=7)) == "50f9e7f6fcd5"
+
+
+def test_weighted_layers_describe_the_bundle(toy_cfg, toy_weights):
+    layers = toy_cfg.weighted_layers()
+    assert [l.name for l in layers] == toy_cfg.layer_names() == [
+        "conv0", "conv1", "caps0", "caps1", "fc0", "fc1", "fc2", "fc3"]
+    assert [l.name for l in layers if l.prunable] == ["conv0", "conv1", "caps0", "caps1"]
+    for l in layers:
+        if l.prunable:
+            assert l.weight_dims == (l.kernel_h, l.kernel_w, l.in_ch, l.out_ch)
+        else:
+            assert (l.kernel_h, l.kernel_w) == (1, 1)
+            assert l.weight_dims == (l.in_ch, l.out_ch)
+        assert toy_weights.entries[f"{l.name}.weight"].dims == l.weight_dims
+        assert toy_weights.entries[f"{l.name}.bias"].dims == (l.out_ch,)
 
 
 def test_infer_shapes_and_trace(toy_cfg, toy_weights, toy_rf):

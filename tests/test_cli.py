@@ -17,6 +17,7 @@ from capsbeam import __version__, capsnet, cli
 from capsbeam.config import load_config
 from capsbeam.data_model import (
     Tensor,
+    read_bundle_file,
     read_tensor_file,
     write_bundle_file,
     write_tensor_file,
@@ -230,6 +231,7 @@ def test_sim_layer_names_are_one_based(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1
         assert "error:" in err
+        assert "(conv1, conv2, caps1, caps2, fc1, fc2, fc3, fc4, routing)" in err
 
 
 def test_sim_all_layers_and_pruned(tmp_path, capsys):
@@ -346,6 +348,28 @@ def test_infer_rejects_non_finite_rf(desk_run, tmp_path, capsys):
     write_tensor_file(Tensor.from_array(rf), str(path))
     rc = cli.main(["infer", "--config", DESK, "--in", str(path),
                    "--weights", str(desk_run["weights"]), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "NonFinite" in capsys.readouterr().err
+
+
+def test_non_finite_weights_and_envelope_exit_one(desk_run, tmp_path, capsys):
+    bundle = read_bundle_file(str(desk_run["weights"]))
+    w = bundle.entries["conv1.weight"].data.copy()
+    w[0, 0, 0, 0] = np.nan
+    bundle.entries["conv1.weight"] = Tensor.from_array(w)
+    weights = tmp_path / "nan.cbwb"
+    write_bundle_file(bundle, str(weights))
+    rc = cli.main(["infer", "--config", DESK, "--in", str(desk_run["rf"] / "rf_angle2.cbtf"),
+                   "--weights", str(weights), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "NonFinite" in capsys.readouterr().err
+
+    env = read_tensor_file(str(desk_run["bf_das"] / "das_env.cbtf")).data.copy()
+    env[3, 4, 1] = np.inf
+    env_path = tmp_path / "inf_env.cbtf"
+    write_tensor_file(Tensor.from_array(env), str(env_path))
+    rc = cli.main(["metrics", "--config", DESK, "--env", str(env_path),
+                   "--out", str(tmp_path / "m")])
     assert rc == 1
     assert "NonFinite" in capsys.readouterr().err
 

@@ -295,6 +295,16 @@ def test_pruned_inference_matches_zeroed_inference():
     np.testing.assert_array_equal(via_dense, via_zeroed)
 
 
+def test_apply_mask_rejects_names_not_matching_masks():
+    rng = np.random.default_rng(10)
+    bundle = _bundle_for({"conv0": rng.standard_normal((3, 3, 4, 4)),
+                          "conv1": rng.standard_normal((3, 3, 4, 4))})
+    mask, _ = plan_prune(ConvNetDescription.from_bundle(bundle, ["conv0", "conv1"]), 0.5)
+    mask.layer_names = ("conv0",)
+    with pytest.raises(MaskMismatch, match="1 layers but holds 2 masks"):
+        apply_mask(bundle, mask)
+
+
 def test_apply_mask_rejects_zero_kernel_filter():
     # Quota planning never empties a filter; a hand-built mask that does
     # has no compacted form, since every filter must keep the same count.

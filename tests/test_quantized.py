@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsbeam.capsnet import infer, init_weights
+from capsbeam.capsnet import infer, init_weights, toy_config
 from capsbeam.data_model import RfVolume, Tensor, WeightBundle
 from capsbeam.errors import (
     EmptyCalibration,
     InvalidConfig,
     MissingScale,
+    NonFinite,
     ShapeMismatch,
 )
 from capsbeam.quantized import (
@@ -350,6 +351,49 @@ def test_infer_quantized_channel_mismatch(toy_cfg, toy_weights, toy_rf):
 def test_infer_quantized_needs_scales(toy_cfg, toy_weights, toy_rf):
     with pytest.raises(MissingScale):
         infer_quantized(toy_rf, toy_cfg, toy_weights)
+
+
+# ---------------------------------------------------------------- weight checks, both paths
+
+
+@pytest.fixture(scope="module")
+def toy_plan(toy_cfg, toy_weights, toy_rf):
+    return calibrate(toy_weights, [toy_rf], toy_cfg)
+
+
+def _run_path(path, rf, cfg, bundle, plan):
+    if path == "infer":
+        return infer(rf, cfg, bundle)
+    return infer_quantized(rf, cfg, bundle, plan=plan)
+
+
+def _with_entry(bundle, name, data):
+    out = bundle.copy()
+    out.entries[name] = Tensor.from_array(data)
+    return out
+
+
+@pytest.mark.parametrize("path", ["infer", "infer_quantized"])
+@pytest.mark.parametrize("kind", ["weight", "bias"])
+@pytest.mark.parametrize("layer", toy_config().layer_names())
+def test_wrong_entry_dims_raise_shape_mismatch(layer, kind, path, toy_cfg, toy_weights,
+                                               toy_rf, toy_plan):
+    # One output channel: a [1] bias or an fc3 [4, 1] weight would broadcast
+    # silently; a narrower inner layer would break the next matmul.
+    name = f"{layer}.{kind}"
+    bad = _with_entry(toy_weights, name, toy_weights.entries[name].data[..., :1])
+    with pytest.raises(ShapeMismatch, match=name):
+        _run_path(path, toy_rf, toy_cfg, bad, toy_plan)
+
+
+@pytest.mark.parametrize("path", ["infer", "infer_quantized"])
+@pytest.mark.parametrize("name,value", [("conv1.weight", np.nan), ("caps0.weight", -np.inf),
+                                        ("fc2.bias", np.inf)])
+def test_non_finite_weights_raise(name, value, path, toy_cfg, toy_weights, toy_rf, toy_plan):
+    data = toy_weights.entries[name].data.copy()
+    data.flat[1] = value
+    with pytest.raises(NonFinite, match=name.split(".")[0]):
+        _run_path(path, toy_rf, toy_cfg, _with_entry(toy_weights, name, data), toy_plan)
 
 
 def test_dequantize_round_trip_array():
