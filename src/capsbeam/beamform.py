@@ -49,6 +49,18 @@ def thread_budget() -> int:
     return parsed
 
 
+def run_ranges(n: int, fn, grain: int = 1) -> None:
+    """Call fn(lo, hi) on contiguous ranges splitting [0, n), one per each of
+    min(thread_budget(), n // grain) threads, so each thread gets at least grain
+    items; one range runs inline. Worker errors propagate."""
+    workers = min(thread_budget(), n // grain)
+    if workers <= 1:
+        return fn(0, n)
+    bounds = [n * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fn, bounds[:-1], bounds[1:]))
+
+
 @dataclass(frozen=True)
 class MvdrParams:
     """Subarray length L, temporal half-window K, diagonal loading factor."""
@@ -196,18 +208,7 @@ def mvdr(rf: RfVolume, params: MvdrParams) -> BeamformedImage:
     rows = rf.grid.num_rows
     out = np.empty((rows, rf.grid.num_cols), dtype=np.float64)
     n_chunks = -(-rows // (2 * params.temporal_half_window + 1))
-    workers = min(thread_budget(), n_chunks)
-    bounds = [n_chunks * k // workers for k in range(workers + 1)]
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-
-    def run(chunks):
-        _mvdr_chunks(rf.samples, chunks[0], chunks[1], params, out)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, ranges))
-    else:
-        run(ranges[0])
+    run_ranges(n_chunks, lambda lo, hi: _mvdr_chunks(rf.samples, lo, hi, params, out))
     return BeamformedImage(grid=rf.grid, values=out)
 
 

@@ -4,21 +4,29 @@ Scatterers are ideal points insonified by a steered plane wave. Each one
 contributes a Gaussian-windowed sinusoid to every element trace, delayed
 by transmit time (z cos a + x sin a) / c plus the return path to the
 element. Desk-scale stand-in for a full acoustic simulator: no
-attenuation, no element directivity, single scattering only.
+attenuation, no element directivity, single scattering only. Both stages
+split over CAPSBEAM_THREADS workers, and their bytes never depend on how many.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .beamform import run_ranges
 from .data_model import PixelGrid, ProbeGeometry, RfVolume
-from .errors import InvalidConfig, OutOfField, ShapeMismatch
+from .errors import InvalidConfig, NonFinite, OutOfField, ShapeMismatch
 
 # Envelope cutoff for pulse evaluation windows; below this the tail is dropped.
 _PULSE_TAIL = 1e-10
 _PULSE_BANDWIDTH = 0.6
+# Float64 values per worker step, so temporaries stay at 128 KB: what a
+# worker thread allocates stays resident in its malloc arena after the call,
+# and 4x larger steps raised the peak RSS of a later full-scale inference by
+# 3-8 MB. Work too small to give each thread one step runs inline.
+_STEP_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -59,11 +67,15 @@ class Phantom:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.background_density_per_mm2):
+            raise NonFinite("background density must be finite")
         if self.background_density_per_mm2 < 0:
             raise InvalidConfig("background density cannot be negative")
         for s in self.scatterers:
             if len(s) != 3:
                 raise ShapeMismatch(f"scatterer {s} must be (x, z, amplitude)")
+            if not all(math.isfinite(v) for v in s):
+                raise NonFinite(f"scatterer {s} has a NaN or infinite field")
             if s[1] < 0:
                 raise InvalidConfig(f"scatterer depth {s[1]} cannot be negative")
 
@@ -79,6 +91,13 @@ def _pulse_wave(t: np.ndarray, center_freq_hz: float) -> np.ndarray:
     # gausspulse's in-phase output, evaluated in its operation order.
     a = _pulse_exponent(center_freq_hz)
     return np.exp(-a * t * t) * np.cos(2 * np.pi * center_freq_hz * t)
+
+
+def _delays(geom: ProbeGeometry, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Two-way time from the steered transmit to (x, z) and back, last axis per element."""
+    theta, c = geom.transmit_angle_rad, geom.speed_of_sound_mps
+    tau_tx = (z * np.cos(theta) + x * np.sin(theta)) / c
+    return tau_tx + np.hypot(x - geom.element_positions(), z) / c
 
 
 def _pulse_halfwidth_s(center_freq_hz: float) -> float:
@@ -123,51 +142,62 @@ def simulate_rx(phantom: Phantom, geom: ProbeGeometry, num_time_samples: int,
                 noise_std: float = 0.0) -> np.ndarray:
     """Raw element traces [time, elements] for one plane-wave shot.
 
-    Raises OutOfField when an explicit scatterer's echo would land beyond
-    the last time sample on any element; background scatterers violating
-    the window are dropped silently. Optional additive white Gaussian
-    noise is seeded from the phantom for reproducibility.
+    Raises OutOfField naming the first non-zero explicit scatterer whose echo
+    lands past the last sample on any element; background scatterers past the
+    window are dropped silently. Optional white Gaussian noise (noise_std >= 0)
+    is seeded from the phantom for reproducibility.
     """
     if num_time_samples < 2:
         raise InvalidConfig("need at least two time samples")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise InvalidConfig(f"noise_std must be finite and non-negative, got {noise_std}")
     scatterers = realize(phantom, geom, num_time_samples)
     fs = geom.sample_rate_hz
-    c = geom.speed_of_sound_mps
-    theta = geom.transmit_angle_rad
-    elements = geom.element_positions()
     t_max = (num_time_samples - 1) / fs
-    out = np.zeros((num_time_samples, geom.num_elements), dtype=np.float64)
-    half_w = _pulse_halfwidth_s(geom.center_freq_hz)
-    half_n = int(np.ceil(half_w * fs))
-    offsets = np.arange(-half_n, half_n + 1)
-    n_explicit = len(phantom.scatterers)
-    for idx, (sx, sz, amp) in enumerate(scatterers):
-        if amp == 0.0:
-            continue
-        tau_tx = (sz * np.cos(theta) + sx * np.sin(theta)) / c
-        tau = tau_tx + np.hypot(sx - elements, sz) / c
-        if tau.max() > t_max:
-            if idx < n_explicit:
-                raise OutOfField(
-                    f"scatterer ({sx:.4g}, {sz:.4g}) echo at {tau.max():.3e}s "
-                    f"exceeds the {t_max:.3e}s window"
-                )
-            continue
-        center = np.rint(tau * fs).astype(np.int64)
-        idx_grid = center[:, None] + offsets[None, :]
-        t_rel = idx_grid / fs - tau[:, None]
-        wave = amp * _pulse_wave(t_rel, geom.center_freq_hz)
-        valid = (idx_grid >= 0) & (idx_grid < num_time_samples)
-        elem_grid = np.broadcast_to(np.arange(geom.num_elements)[:, None], idx_grid.shape)
-        np.add.at(out, (idx_grid[valid], elem_grid[valid]), wave[valid])
+    amp = scatterers[:, 2]
+    # Each scatterer's first and last arrival, a chunk at a time: no [S, E]
+    # array is held, so peak memory does not grow with the scatterer count.
+    first, last = np.empty(len(amp)), np.empty(len(amp))
+    step = max(1, _STEP_SAMPLES // geom.num_elements)
+    for s in range(0, len(amp), step):
+        chunk = scatterers[s:s + step]
+        tau = _delays(geom, chunk[:, :1], chunk[:, 1:2])
+        first[s:s + step], last[s:s + step] = tau.min(axis=1), tau.max(axis=1)
+    late = (amp != 0.0) & (last > t_max)
+    if late[:len(phantom.scatterers)].any():
+        i = late.argmax()
+        raise OutOfField(f"scatterer ({scatterers[i, 0]:.4g}, {scatterers[i, 1]:.4g}) echo at "
+                         f"{last[i]:.3e}s exceeds the {t_max:.3e}s window")
+    keep = (amp != 0.0) & ~late
+    kept = scatterers[keep]
+    half_n = int(np.ceil(_pulse_halfwidth_s(geom.center_freq_hz) * fs))
+    n_taps = 2 * half_n + 1
+    # Element-major traces with pad rows that catch taps outside the trace;
+    # an echo before t = 0 (steered, shallow) deepens the pad below.
+    pad = half_n - int(np.rint(first[keep].min(initial=0.0) * fs))
+    rows = pad + num_time_samples + half_n
+    padded = np.zeros((geom.num_elements, rows))
+    flat = padded.reshape(-1)
+
+    def scatter(lo: int, hi: int) -> None:
+        base = np.arange(lo, hi)[:, None] * rows + pad
+        step = max(1, _STEP_SAMPLES // ((hi - lo) * n_taps))
+        for s in range(0, len(kept), step):
+            chunk = kept[s:s + step, :, None]
+            tau = _delays(geom, chunk[:, 0], chunk[:, 1])[:, lo:hi, None]
+            taps = np.rint(tau * fs).astype(np.int64) + np.arange(-half_n, half_n + 1)
+            wave = chunk[:, 2:] * _pulse_wave(taps / fs - tau, geom.center_freq_hz)
+            np.add.at(flat, (taps + base).ravel(), wave.ravel())
+
+    run_ranges(geom.num_elements, scatter, grain=-(-_STEP_SAMPLES // max(1, len(kept) * n_taps)))
+    out = padded[:, pad:pad + num_time_samples].T
     if noise_std > 0:
         rng = np.random.default_rng(phantom.rng_seed + 1)
         out += rng.normal(0.0, noise_std, size=out.shape)
-    return out.astype(np.float32)
+    return out.astype(np.float32, order="C")
 
 
-def tof_correct(raw: np.ndarray, geom: ProbeGeometry, grid: PixelGrid,
-                row_chunk: int = 32) -> RfVolume:
+def tof_correct(raw: np.ndarray, geom: ProbeGeometry, grid: PixelGrid) -> RfVolume:
     """Delay every channel to every pixel by linear interpolation.
 
     Output [rows, cols, channels]; a pixel/channel pair whose delay falls
@@ -178,28 +208,22 @@ def tof_correct(raw: np.ndarray, geom: ProbeGeometry, grid: PixelGrid,
         raise ShapeMismatch(
             f"raw traces shaped {raw.shape}, geometry implies (time, {geom.num_elements})"
         )
-    n_time = raw.shape[0]
-    fs = geom.sample_rate_hz
-    c = geom.speed_of_sound_mps
-    theta = geom.transmit_angle_rad
-    elements = geom.element_positions()
-    depths = grid.row_depths
-    laterals = grid.col_positions
-    out = np.empty((grid.num_rows, grid.num_cols, geom.num_elements), dtype=np.float32)
-    padded = np.concatenate([raw, np.zeros((1, geom.num_elements))], axis=0)
-    for start in range(0, grid.num_rows, row_chunk):
-        stop = min(start + row_chunk, grid.num_rows)
-        z = depths[start:stop][:, None, None]
-        x = laterals[None, :, None]
-        tau = (z * np.cos(theta) + x * np.sin(theta)) / c
-        tau = tau + np.hypot(x - elements[None, None, :], z) / c
-        pos = tau * fs
-        i0 = np.floor(pos).astype(np.int64)
-        frac = pos - i0
-        inside = (i0 >= 0) & (i0 <= n_time - 1)
-        i0c = np.clip(i0, 0, n_time - 1)
-        i1c = np.minimum(i0c + 1, n_time)  # padded zero row handles the tail
-        e = np.broadcast_to(np.arange(geom.num_elements)[None, None, :], i0c.shape)
-        vals = (1.0 - frac) * padded[i0c, e] + frac * padded[i1c, e]
-        out[start:stop] = np.where(inside, vals, 0.0)
-    return RfVolume(grid=grid, num_channels=geom.num_elements, samples=out)
+    n_time, n_elem = raw.shape
+    x, z = grid.col_positions[:, None], grid.row_depths[:, None, None]
+    out = np.empty((grid.num_rows, grid.num_cols, n_elem), dtype=np.float32)
+    # Taps outside the trace, and the one after its last sample, read zeros.
+    flat = np.concatenate([raw, np.zeros((2, n_elem))], axis=0).ravel()
+    step = max(1, _STEP_SAMPLES // (grid.num_cols * n_elem))
+
+    def correct(lo: int, hi: int) -> None:
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            pos = _delays(geom, x, z[start:stop]) * geom.sample_rate_hz
+            i0 = np.floor(pos).astype(np.int64)
+            frac = pos - i0
+            i0[(i0 < 0) | (i0 > n_time - 1)] = n_time
+            tap = i0 * n_elem + np.arange(n_elem)
+            out[start:stop] = (1.0 - frac) * flat[tap] + frac * flat[tap + n_elem]
+
+    run_ranges(grid.num_rows, correct, grain=step)
+    return RfVolume(grid=grid, num_channels=n_elem, samples=out)

@@ -5,21 +5,82 @@ tau = (z cos a + x sin a) / c + hypot(x - x_e, z) / c evaluated by hand
 for each element; scatterer depths were chosen so every element's
 fractional sample offset stays well clear of 0.5, making the rounded
 index unambiguous.
+
+_simulate_rx_loop is the independent reference for simulate_rx: one
+np.add.at per scatterer, in realize() order, with a validity mask.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsbeam import cli, phantom
+from capsbeam.config import parse_config_text
 from capsbeam.data_model import PixelGrid, ProbeGeometry
-from capsbeam.errors import InvalidConfig, OutOfField, ShapeMismatch
+from capsbeam.errors import InvalidConfig, NonFinite, OutOfField, ShapeMismatch
 from capsbeam.phantom import CystRegion, Phantom, realize, simulate_rx, tof_correct
 
 
 @pytest.fixture(scope="module")
 def probe8():
     return ProbeGeometry(num_elements=8)
+
+
+def _simulate_rx_loop(ph, geom, num_time_samples, noise_std=0.0):
+    scatterers = realize(ph, geom, num_time_samples)
+    fs = geom.sample_rate_hz
+    c = geom.speed_of_sound_mps
+    theta = geom.transmit_angle_rad
+    elements = geom.element_positions()
+    t_max = (num_time_samples - 1) / fs
+    out = np.zeros((num_time_samples, geom.num_elements), dtype=np.float64)
+    half_n = int(np.ceil(phantom._pulse_halfwidth_s(geom.center_freq_hz) * fs))
+    offsets = np.arange(-half_n, half_n + 1)
+    n_explicit = len(ph.scatterers)
+    for idx, (sx, sz, amp) in enumerate(scatterers):
+        if amp == 0.0:
+            continue
+        tau_tx = (sz * np.cos(theta) + sx * np.sin(theta)) / c
+        tau = tau_tx + np.hypot(sx - elements, sz) / c
+        if tau.max() > t_max:
+            if idx < n_explicit:
+                raise OutOfField(f"explicit scatterer {idx} is late")
+            continue
+        center = np.rint(tau * fs).astype(np.int64)
+        idx_grid = center[:, None] + offsets[None, :]
+        t_rel = idx_grid / fs - tau[:, None]
+        wave = amp * phantom._pulse_wave(t_rel, geom.center_freq_hz)
+        valid = (idx_grid >= 0) & (idx_grid < num_time_samples)
+        elem_grid = np.broadcast_to(np.arange(geom.num_elements)[:, None], idx_grid.shape)
+        np.add.at(out, (idx_grid[valid], elem_grid[valid]), wave[valid])
+    if noise_std > 0:
+        rng = np.random.default_rng(ph.rng_seed + 1)
+        out += rng.normal(0.0, noise_std, size=out.shape)
+    return out.astype(np.float32)
+
+
+# A steered 32-element shot into a 256-sample window. 1e17 absorbs the
+# 1.0 that follows it until -1e17 cancels it, so the float64 sums at
+# (0, 2.5 mm) depend on the scatterer order. The shallow lateral point
+# echoes more than a pulse length before t = 0 on the edge element; one
+# background point is late.
+_ORDER_GEOM = ProbeGeometry(num_elements=32, transmit_angle_rad=np.deg2rad(30.0))
+_ORDER_SAMPLES = 256
+_ORDER_PHANTOM = Phantom(
+    scatterers=((0.0, 2.5e-3, 1e17), (1.0e-3, 3.0e-3, 0.0), (0.0, 2.5e-3, -1e17),
+                (0.0, 2.5e-3, 1.0), (-4.6e-3, 1.0e-4, 0.8), (1.5e-3, 2.0e-3, -0.6)),
+    cyst_regions=(CystRegion(0.0, 3.0e-3, 1.0e-3, echogenicity=0.5),),
+    background_density_per_mm2=3.0, rng_seed=5)
+
+
+def _two_way_delays(rows, geom):
+    x, z = rows[:, :1], rows[:, 1:2]
+    theta, c = geom.transmit_angle_rad, geom.speed_of_sound_mps
+    return (z * np.cos(theta) + x * np.sin(theta)) / c + np.hypot(
+        x - geom.element_positions(), z) / c
 
 
 def test_delta_scatterer_peak_sample_indices(probe8):
@@ -181,3 +242,115 @@ def test_realize_determinism_property(seed):
     np.testing.assert_array_equal(a, b)
     inside = ph.cyst_regions[0].contains(a[:, 0], a[:, 1])
     assert np.all(a[inside, 2] == 0.0)
+
+
+def test_order_phantom_covers_every_scatterer_kind():
+    rows = realize(_ORDER_PHANTOM, _ORDER_GEOM, _ORDER_SAMPLES)
+    n_explicit = len(_ORDER_PHANTOM.scatterers)
+    tau = _two_way_delays(rows, _ORDER_GEOM)
+    t_max = (_ORDER_SAMPLES - 1) / _ORDER_GEOM.sample_rate_hz
+    background = rows[n_explicit:]
+    assert (tau[n_explicit:].max(axis=1) > t_max).any()
+    pulse_s = 2 * phantom._pulse_halfwidth_s(_ORDER_GEOM.center_freq_hz)
+    assert tau[:n_explicit].min() < -pulse_s
+    assert _ORDER_PHANTOM.cyst_regions[0].contains(background[:, 0], background[:, 1]).any()
+    assert (rows[:, 2] == 0.0).any()
+
+
+@pytest.mark.parametrize("step_samples", [None, 1])
+@pytest.mark.parametrize("noise_std", [0.0, 0.05])
+def test_simulate_rx_matches_loop_for_any_thread_count(monkeypatch, step_samples, noise_std):
+    # One-sample steps put each scatterer in its own np.add.at call, so the
+    # order-sensitive scatterers fall in separate chunks.
+    if step_samples is not None:
+        monkeypatch.setattr(phantom, "_STEP_SAMPLES", step_samples)
+    expected = _simulate_rx_loop(_ORDER_PHANTOM, _ORDER_GEOM, _ORDER_SAMPLES, noise_std)
+    assert np.abs(expected).max() > 0.5
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+        raw = simulate_rx(_ORDER_PHANTOM, _ORDER_GEOM, _ORDER_SAMPLES, noise_std=noise_std)
+        assert raw.dtype == np.float32
+        assert raw.tobytes() == expected.tobytes(), f"{threads} threads"
+
+
+def test_tof_correct_bytes_independent_of_threads(monkeypatch):
+    # Rows start above the first echo and run past the window, so every
+    # worker sees taps inside, before and after the trace.
+    geom = ProbeGeometry(num_elements=32, transmit_angle_rad=np.deg2rad(-4.0))
+    grid = PixelGrid(num_rows=23, num_cols=9, row_spacing_m=5.0e-4,
+                     col_spacing_m=6.0e-4, depth_origin_m=0.0)
+    raw = np.random.default_rng(3).standard_normal((256, 32)).astype(np.float32)
+    monkeypatch.setattr(phantom, "_STEP_SAMPLES", 2 * 9 * 32)  # two rows a step
+    results = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+        results.append(tof_correct(raw, geom, grid).samples.tobytes())
+    assert results[0] == results[1] == results[2]
+    samples = np.frombuffer(results[0], dtype=np.float32).reshape(23, 9, 32)
+    assert (samples[0] != 0.0).any() and np.all(samples[-1] == 0.0)
+
+
+def test_out_of_field_names_first_late_explicit_scatterer(probe8):
+    ph = Phantom(scatterers=((0.0, 5.0e-3, 1.0), (1.0e-3, 40.0e-3, 0.0),
+                             (2.0e-3, 50.0e-3, 1.0), (-1.0e-3, 60.0e-3, 1.0)))
+    with pytest.raises(OutOfField, match=r"scatterer \(0\.002, 0\.05\) echo at"):
+        simulate_rx(ph, probe8, 400)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_echo_late_on_one_edge_element_raises(probe8, side):
+    # Only the element farthest from the point hears it after the window.
+    x, z = side * 3.0e-3, 5.0e-3
+    tau = _two_way_delays(np.array([[x, z, 1.0]]), probe8)[0]
+    assert tau.argmax() == (0 if side > 0 else probe8.num_elements - 1)
+    fs = probe8.sample_rate_hz
+    n = int(np.floor(tau.max() * fs)) + 1
+    assert np.sort(tau)[-2] <= (n - 1) / fs < tau.max()
+    ph = Phantom(scatterers=((x, z, 1.0),))
+    with pytest.raises(OutOfField):
+        simulate_rx(ph, probe8, n)
+    assert simulate_rx(ph, probe8, n + 1).tobytes() == _simulate_rx_loop(ph, probe8, n + 1).tobytes()
+
+
+def test_zero_amplitude_late_explicit_scatterer_is_skipped(probe8):
+    ph = Phantom(scatterers=((0.0, 5.0e-3, 1.0), (0.0, 50.0e-3, 0.0)))
+    raw = simulate_rx(ph, probe8, 400)
+    single = simulate_rx(Phantom(scatterers=ph.scatterers[:1]), probe8, 400)
+    assert raw.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("field", [0, 1, 2])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_phantom_rejects_non_finite_scatterer(field, bad):
+    point = [0.0, 5.0e-3, 1.0]
+    point[field] = bad
+    with pytest.raises(NonFinite):
+        Phantom(scatterers=(tuple(point),))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_phantom_rejects_non_finite_background_density(bad):
+    with pytest.raises(NonFinite):
+        Phantom(background_density_per_mm2=bad)
+
+
+@pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
+def test_simulate_rx_rejects_bad_noise_std(probe8, noise_std):
+    with pytest.raises(InvalidConfig, match="noise_std"):
+        simulate_rx(Phantom(scatterers=((0.0, 5.0e-3, 1.0),)), probe8, 400,
+                    noise_std=noise_std)
+
+
+def test_config_rejects_bad_phantom_inputs(tmp_path, capsys):
+    with pytest.raises(NonFinite):
+        parse_config_text("[phantom]\npoints = 0.0, nan, 1.0\n")
+    with pytest.raises(NonFinite):
+        parse_config_text("[phantom]\npoints = 0.0, 5.0e-3, inf\n")
+    desk = Path("configs/desk.ini").read_text()
+    assert "noise_std = 0.0" in desk
+    for value in ("-1.0", "nan"):
+        cfg = tmp_path / f"noise{value}.ini"
+        cfg.write_text(desk.replace("noise_std = 0.0", f"noise_std = {value}"))
+        rc = cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / value)])
+        assert rc == 1
+        assert "InvalidConfig" in capsys.readouterr().err
