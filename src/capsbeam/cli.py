@@ -357,9 +357,8 @@ def _cmd_metrics(args) -> int:
     env = _load_env(args.env, cfg)
     rows = _metric_rows(env, cfg)
     if args.point_depth is not None:
-        mag = env.magnitude()
-        row = int(np.argmin(np.abs(cfg.grid.row_depths - args.point_depth)))
-        width = metrics.fwhm(mag[row], cfg.grid.col_spacing_m)
+        row = metrics.depth_row(env.grid, args.point_depth)
+        width = metrics.fwhm(env.magnitude()[row], cfg.grid.col_spacing_m)
         rows.append((f"lateral_fwhm@{args.point_depth!r}", width, "m", "profile"))
     out = _OutDir(args.out, cfg.config_hash)
     out.write_text("metrics.csv", _metrics_csv(rows))

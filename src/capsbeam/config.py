@@ -6,6 +6,11 @@ library default, but unknown sections or keys are rejected so typos
 cannot silently revert to defaults. Numeric values are SI unless the key
 name says otherwise (angles in degrees, densities per mm^2).
 
+[probe], [grid], [mvdr], [prune], [quant] and [accel] keys are the fields
+of their settings dataclass (_SECTIONS), typed and defaulted by it. A NaN
+or infinite number raises NonFinite naming [section] key (noise_std is
+left to simulate_rx); a bad [prune] ratio or method is rejected at load.
+
 Layer grammar for [capsnet]:
   conv    = 3x3:128->128:relu, 3x3:128->88:relu
   caps    = 3x3:88->8x8, 1x1:64->8x8        (out = capsules x dim)
@@ -23,7 +28,7 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .accel_sim import AccelConfig
 from .beamform import MvdrParams
@@ -36,7 +41,7 @@ from .capsnet import (
     default_config,
 )
 from .data_model import PixelGrid, ProbeGeometry
-from .errors import InvalidConfig, IoFailure
+from .errors import InvalidConfig, IoFailure, NonFinite, RatioOutOfRange
 from .metrics import RegionSpec
 from .phantom import CystRegion, Phantom
 from .pruning import METHODS
@@ -53,6 +58,12 @@ class PruneSettings:
     method: str = "lakp_ml"
     ratio: float = 0.85
     lookahead: int = 2
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise InvalidConfig(f"[prune] method: unknown {self.method!r}")
+        if not 0.0 <= self.ratio < 1.0:
+            raise RatioOutOfRange(f"[prune] ratio: {self.ratio} outside [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -97,9 +108,13 @@ def _to_int(section: str, key: str, raw: str) -> int:
 
 def _to_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise InvalidConfig(f"[{section}] {key}: not a number: {raw!r}") from exc
+    # simulate_rx rejects a NaN or inf noise_std as InvalidConfig.
+    if not math.isfinite(value) and key != "noise_std":
+        raise NonFinite(f"[{section}] {key}: not finite: {raw!r}")
+    return value
 
 
 def _to_bool(section: str, key: str, raw: str) -> bool:
@@ -181,11 +196,8 @@ def _parse_fc(raw: str) -> tuple[FcLayerCfg, ...]:
     widths = [_to_int("capsnet", "fc", v.strip()) for v in raw.split(",") if v.strip()]
     if len(widths) < 2:
         raise InvalidConfig("[capsnet] fc: need at least two widths")
-    layers = []
-    for i in range(len(widths) - 1):
-        last = i == len(widths) - 2
-        layers.append(FcLayerCfg(widths[i], widths[i + 1], relu=not last))
-    return tuple(layers)
+    return tuple(FcLayerCfg(a, b, relu=i < len(widths) - 2)
+                 for i, (a, b) in enumerate(zip(widths, widths[1:])))
 
 
 def _parse_triples(section: str, key: str, raw: str, arity: int):
@@ -214,167 +226,88 @@ def _parse_regions(section) -> tuple[RegionSpec, ...]:
     return tuple(specs)
 
 
+# Readers by the type of a field's default; bool first, since a bool is an int.
+_READERS = ((bool, _to_bool), (int, _to_int), (float, _to_float), (tuple, _float_list))
+
+# Sections read field by field: section -> (settings class, the fields of
+# it the config may set, the RunConfig fields also read in that section).
+# [phantom]'s own keys keep their own grammar (_parse_phantom).
+_SECTIONS = {
+    "probe": (ProbeGeometry, ("num_elements", "pitch_m", "speed_of_sound_mps",
+                              "sample_rate_hz", "center_freq_hz"), ("angles_deg",)),
+    "grid": (PixelGrid, ("num_rows", "num_cols", "row_spacing_m", "col_spacing_m",
+                         "depth_origin_m"), ("dynamic_range_db",)),
+    "phantom": (None, ("points", "cysts", "background_per_mm2", "seed"),
+                ("num_time_samples", "noise_std")),
+    "mvdr": (MvdrParams, ("subarray_len", "temporal_half_window", "diagonal_loading"), ()),
+    "prune": (PruneSettings, ("method", "ratio", "lookahead"), ()),
+    "quant": (QuantSettings, ("enabled",), ()),
+    "accel": (AccelConfig, ("pe_rows", "pe_cols", "clock_hz", "dma_count",
+                            "dma_beat_bytes", "word_bits", "bram_budget_bytes"), ()),
+}
+
+# [capsnet] key -> (CapsConfig field, grammar parser)
+_CAPSNET_KEYS = {
+    "conv": ("conv_layers", _parse_conv_layers),
+    "caps": ("caps_conv_layers", _parse_caps_layers),
+    "routing": ("routing", _parse_routing),
+    "fc": ("fc_layers", _parse_fc),
+}
+
+
+def _read_fields(section: str, sec, keys, defaults) -> dict:
+    """Parse each of keys present in sec by the type of its value in
+    defaults; str values are taken as they are."""
+    parsed = {}
+    for key in keys:
+        if key in sec:
+            default = getattr(defaults, key)
+            read = next((r for t, r in _READERS if isinstance(default, t)), None)
+            parsed[key] = read(section, key, sec[key]) if read else sec[key]
+    return parsed
+
+
+def _parse_phantom(sec) -> Phantom:
+    points = _parse_triples("phantom", "points", sec.get("points", ""), 3)
+    cysts = _parse_triples("phantom", "cysts", sec.get("cysts", ""), 4)
+    return Phantom(
+        scatterers=tuple(points),
+        cyst_regions=tuple(CystRegion(*c) for c in cysts),
+        background_density_per_mm2=_to_float(
+            "phantom", "background_per_mm2", sec.get("background_per_mm2", "0.0")),
+        rng_seed=_to_int("phantom", "seed", sec.get("seed", "0")),
+    )
+
+
 def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
         raise InvalidConfig(f"{origin}: {exc}") from exc
-    known_sections = (
-        "probe", "grid", "phantom", "capsnet", "mvdr", "prune", "quant",
-        "accel", "regions",
-    )
-    unknown = sorted(set(parser.sections()) - set(known_sections))
+    unknown = sorted(set(parser.sections()) - {*_SECTIONS, "capsnet", "regions"})
     if unknown:
         raise InvalidConfig(f"unknown config sections {unknown}")
 
     kwargs: dict = {}
-
-    if parser.has_section("probe"):
-        sec = parser["probe"]
-        _check_keys(
-            "probe", sec,
-            ("num_elements", "pitch_m", "speed_of_sound_mps", "sample_rate_hz",
-             "center_freq_hz", "angles_deg"),
-        )
-        base = ProbeGeometry()
-        kwargs["probe"] = ProbeGeometry(
-            num_elements=_to_int("probe", "num_elements",
-                                 sec.get("num_elements", str(base.num_elements))),
-            pitch_m=_to_float("probe", "pitch_m", sec.get("pitch_m", str(base.pitch_m))),
-            speed_of_sound_mps=_to_float(
-                "probe", "speed_of_sound_mps",
-                sec.get("speed_of_sound_mps", str(base.speed_of_sound_mps))),
-            sample_rate_hz=_to_float("probe", "sample_rate_hz",
-                                     sec.get("sample_rate_hz", str(base.sample_rate_hz))),
-            center_freq_hz=_to_float("probe", "center_freq_hz",
-                                     sec.get("center_freq_hz", str(base.center_freq_hz))),
-        )
-        if "angles_deg" in sec:
-            kwargs["angles_deg"] = _float_list("probe", "angles_deg", sec["angles_deg"])
-
-    if parser.has_section("grid"):
-        sec = parser["grid"]
-        _check_keys(
-            "grid", sec,
-            ("num_rows", "num_cols", "row_spacing_m", "col_spacing_m",
-             "depth_origin_m", "dynamic_range_db"),
-        )
-        base = PixelGrid()
-        kwargs["grid"] = PixelGrid(
-            num_rows=_to_int("grid", "num_rows", sec.get("num_rows", str(base.num_rows))),
-            num_cols=_to_int("grid", "num_cols", sec.get("num_cols", str(base.num_cols))),
-            row_spacing_m=_to_float("grid", "row_spacing_m",
-                                    sec.get("row_spacing_m", str(base.row_spacing_m))),
-            col_spacing_m=_to_float("grid", "col_spacing_m",
-                                    sec.get("col_spacing_m", str(base.col_spacing_m))),
-            depth_origin_m=_to_float("grid", "depth_origin_m",
-                                     sec.get("depth_origin_m", str(base.depth_origin_m))),
-        )
-        if "dynamic_range_db" in sec:
-            kwargs["dynamic_range_db"] = _to_float(
-                "grid", "dynamic_range_db", sec["dynamic_range_db"])
-
-    if parser.has_section("phantom"):
-        sec = parser["phantom"]
-        _check_keys(
-            "phantom", sec,
-            ("points", "cysts", "background_per_mm2", "seed", "num_time_samples",
-             "noise_std"),
-        )
-        points = tuple(
-            (x, z, a)
-            for x, z, a in _parse_triples("phantom", "points", sec.get("points", ""), 3)
-        )
-        cysts = tuple(
-            CystRegion(cx, cz, r, echo)
-            for cx, cz, r, echo in _parse_triples("phantom", "cysts", sec.get("cysts", ""), 4)
-        )
-        kwargs["phantom"] = Phantom(
-            scatterers=points,
-            cyst_regions=cysts,
-            background_density_per_mm2=_to_float(
-                "phantom", "background_per_mm2", sec.get("background_per_mm2", "0.0")),
-            rng_seed=_to_int("phantom", "seed", sec.get("seed", "0")),
-        )
-        if "num_time_samples" in sec:
-            kwargs["num_time_samples"] = _to_int(
-                "phantom", "num_time_samples", sec["num_time_samples"])
-        if "noise_std" in sec:
-            kwargs["noise_std"] = _to_float("phantom", "noise_std", sec["noise_std"])
+    run_defaults = RunConfig()
+    for name, (cls, keys, run_keys) in _SECTIONS.items():
+        if not parser.has_section(name):
+            continue
+        sec = parser[name]
+        _check_keys(name, sec, keys + run_keys)
+        kwargs[name] = (_parse_phantom(sec) if cls is None
+                        else cls(**_read_fields(name, sec, keys, cls())))
+        kwargs.update(_read_fields(name, sec, run_keys, run_defaults))
 
     if parser.has_section("capsnet"):
         sec = parser["capsnet"]
-        _check_keys("capsnet", sec, ("conv", "caps", "routing", "fc"))
-        base_net = default_config()
-        net = CapsConfig(
-            conv_layers=_parse_conv_layers(sec["conv"]) if "conv" in sec
-            else base_net.conv_layers,
-            caps_conv_layers=_parse_caps_layers(sec["caps"]) if "caps" in sec
-            else base_net.caps_conv_layers,
-            routing=_parse_routing(sec["routing"]) if "routing" in sec
-            else base_net.routing,
-            fc_layers=_parse_fc(sec["fc"]) if "fc" in sec else base_net.fc_layers,
-        )
+        _check_keys("capsnet", sec, _CAPSNET_KEYS)
+        net = replace(default_config(), **{
+            attr: parse(sec[key]) for key, (attr, parse) in _CAPSNET_KEYS.items() if key in sec
+        })
         net.validate()
         kwargs["capsnet"] = net
-
-    if parser.has_section("mvdr"):
-        sec = parser["mvdr"]
-        _check_keys("mvdr", sec,
-                    ("subarray_len", "temporal_half_window", "diagonal_loading"))
-        base = MvdrParams()
-        kwargs["mvdr"] = MvdrParams(
-            subarray_len=_to_int("mvdr", "subarray_len",
-                                 sec.get("subarray_len", str(base.subarray_len))),
-            temporal_half_window=_to_int(
-                "mvdr", "temporal_half_window",
-                sec.get("temporal_half_window", str(base.temporal_half_window))),
-            diagonal_loading=_to_float(
-                "mvdr", "diagonal_loading",
-                sec.get("diagonal_loading", str(base.diagonal_loading))),
-        )
-
-    if parser.has_section("prune"):
-        sec = parser["prune"]
-        _check_keys("prune", sec, ("method", "ratio", "lookahead"))
-        method = sec.get("method", "lakp_ml").strip()
-        if method not in METHODS:
-            raise InvalidConfig(f"[prune] method: unknown {method!r}")
-        kwargs["prune"] = PruneSettings(
-            method=method,
-            ratio=_to_float("prune", "ratio", sec.get("ratio", "0.85")),
-            lookahead=_to_int("prune", "lookahead", sec.get("lookahead", "2")),
-        )
-
-    if parser.has_section("quant"):
-        sec = parser["quant"]
-        _check_keys("quant", sec, ("enabled",))
-        kwargs["quant"] = QuantSettings(
-            enabled=_to_bool("quant", "enabled", sec.get("enabled", "false")),
-        )
-
-    if parser.has_section("accel"):
-        sec = parser["accel"]
-        _check_keys(
-            "accel", sec,
-            ("pe_rows", "pe_cols", "clock_hz", "dma_count", "dma_beat_bytes",
-             "word_bits", "bram_budget_bytes"),
-        )
-        base = AccelConfig()
-        kwargs["accel"] = AccelConfig(
-            pe_rows=_to_int("accel", "pe_rows", sec.get("pe_rows", str(base.pe_rows))),
-            pe_cols=_to_int("accel", "pe_cols", sec.get("pe_cols", str(base.pe_cols))),
-            clock_hz=_to_float("accel", "clock_hz", sec.get("clock_hz", str(base.clock_hz))),
-            dma_count=_to_int("accel", "dma_count",
-                              sec.get("dma_count", str(base.dma_count))),
-            dma_beat_bytes=_to_int("accel", "dma_beat_bytes",
-                                   sec.get("dma_beat_bytes", str(base.dma_beat_bytes))),
-            word_bits=_to_int("accel", "word_bits", sec.get("word_bits", str(base.word_bits))),
-            bram_budget_bytes=_to_int(
-                "accel", "bram_budget_bytes",
-                sec.get("bram_budget_bytes", str(base.bram_budget_bytes))),
-        )
 
     if parser.has_section("regions"):
         kwargs["regions"] = _parse_regions(parser["regions"])

@@ -182,6 +182,15 @@ def gcnr(env: EnvelopeImage, inside: RegionSpec, outside: RegionSpec,
 # profiles and point targets ------------------------------------------------------
 
 
+def depth_row(grid: PixelGrid, depth_m: float) -> int:
+    """Index of the grid row nearest to depth_m; DepthOutOfRange when
+    depth_m (NaN included) lies outside the grid's row depths."""
+    depths = grid.row_depths
+    if not (depths[0] <= depth_m <= depths[-1]):
+        raise DepthOutOfRange(f"depth {depth_m} outside [{depths[0]}, {depths[-1]}]")
+    return int(np.argmin(np.abs(depths - depth_m)))
+
+
 def lateral_profile(env: EnvelopeImage, depth_m: float,
                     dynamic_range_db: float = 60.0) -> np.ndarray:
     """Log-compressed magnitudes along the row nearest to depth_m.
@@ -189,17 +198,13 @@ def lateral_profile(env: EnvelopeImage, depth_m: float,
     Values are 20 log10(mag / image max) clamped to [-dynamic_range, 0],
     so a constant image gives a flat 0 dB profile.
     """
-    grid = env.grid
-    depths = grid.row_depths
-    if not (depths[0] <= depth_m <= depths[-1]):
-        raise DepthOutOfRange(f"depth {depth_m} outside [{depths[0]}, {depths[-1]}]")
+    row = depth_row(env.grid, depth_m)
     if dynamic_range_db <= 0:
         raise InvalidConfig("dynamic range must be positive")
     mag = env.magnitude()
     peak = float(mag.max())
     if peak <= 0:
         raise AllZeroImage("cannot log-compress an all-zero image")
-    row = int(np.argmin(np.abs(depths - depth_m)))
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(mag[row] / peak)
     return np.maximum(db, -dynamic_range_db)

@@ -42,6 +42,18 @@ from .errors import (
 METHODS = ("magnitude", "lakp", "lakp_ml")
 
 
+def _conv_view(weight: np.ndarray) -> np.ndarray:
+    """A stored weight in conv layout: fc [in, out] is the 1x1 conv
+    [1, 1, in, out]; conv weights [kh, kw, cin, cout] are as stored."""
+    return weight.reshape(1, 1, *weight.shape) if weight.ndim == 2 else weight
+
+
+def _store(like: Tensor, conv: np.ndarray) -> Tensor:
+    """Conv-layout weights as a Tensor in like's stored layout and scale."""
+    shape = conv.shape[2:] if like.data.ndim == 2 else conv.shape
+    return Tensor.from_array(conv.reshape(shape), scale_exp=like.scale_exp)
+
+
 @dataclass(frozen=True)
 class ConvNetDescription:
     """Ordered conv weights [kh, kw, cin, cout]; adjacent layers chain.
@@ -74,13 +86,8 @@ class ConvNetDescription:
 
     @classmethod
     def from_bundle(cls, bundle: WeightBundle, names: list[str]) -> "ConvNetDescription":
-        layers = []
-        for name in names:
-            arr = bundle.require(f"{name}.weight").data.astype(np.float64)
-            if arr.ndim == 2:
-                arr = arr.reshape(1, 1, *arr.shape)
-            layers.append(arr)
-        return cls(layers=tuple(layers), layer_names=tuple(names))
+        layers = (_conv_view(bundle.require(f"{name}.weight").data) for name in names)
+        return cls(layers=tuple(w.astype(np.float64) for w in layers), layer_names=tuple(names))
 
 
 def kernel_l1(weights: np.ndarray, cin_index: int, cout_index: int) -> float:
@@ -261,10 +268,8 @@ def apply_mask(bundle: WeightBundle, mask: PruneMask) -> WeightBundle:
     out = bundle.copy()
     for name, m in zip(mask.layer_names, mask.masks):
         weight = bundle.require(f"{name}.weight")
-        w = weight.data
-        if w.ndim == 2:
-            w = w.reshape(1, 1, *w.shape)
-        kh, kw, cin, cout = w.shape
+        w = _conv_view(weight.data)
+        _, _, cin, cout = w.shape
         if m.shape != (cin, cout):
             raise MaskMismatch(f"{name}: mask {m.shape} vs weights ({cin}, {cout})")
         counts = m.sum(axis=0)
@@ -273,11 +278,7 @@ def apply_mask(bundle: WeightBundle, mask: PruneMask) -> WeightBundle:
         if counts.max() != counts.min():
             raise MaskMismatch(f"{name}: ragged kept counts {sorted(set(counts.tolist()))}")
         index = np.nonzero(m.T)[1].reshape(cout, -1).T  # [kept, cout]
-        compact = w[:, :, index, np.arange(cout)]
-        shape = compact.shape if weight.data.ndim == 4 else compact.shape[2:]
-        out.entries[f"{name}.weight"] = Tensor.from_array(
-            compact.reshape(shape), scale_exp=weight.scale_exp
-        )
+        out.entries[f"{name}.weight"] = _store(weight, w[:, :, index, np.arange(cout)])
         out.entries[f"{name}.index"] = Tensor.from_array(index.astype(np.int16))
         out.entries[f"{name}.mask"] = Tensor.from_array(m.astype(np.int16))
     out.metadata["prune_method"] = mask.method
@@ -323,17 +324,11 @@ def densify(bundle: WeightBundle, layer_names: list[str]) -> WeightBundle:
         mask_entry = bundle.entries.get(f"{name}.mask")
         if mask_entry is None:
             raise MissingWeight(f"{name}: .index without .mask gives no input width")
-        w = weight.data
-        squeeze = w.ndim == 2
-        if squeeze:
-            w = w.reshape(1, 1, *w.shape)
+        w = _conv_view(weight.data)
         if len(mask_entry.dims) != 2 or mask_entry.dims[1] != w.shape[3]:
             raise MaskMismatch(f"{name}: mask {mask_entry.dims} vs {w.shape[3]} filters")
         dense = expand_index(w, index_entry.data, mask_entry.dims[0], name)
-        shape = dense.shape[2:] if squeeze else dense.shape
-        out.entries[f"{name}.weight"] = Tensor.from_array(
-            dense.reshape(shape), scale_exp=weight.scale_exp
-        )
+        out.entries[f"{name}.weight"] = _store(weight, dense)
         out.entries.pop(f"{name}.index")
         out.entries.pop(f"{name}.mask")
     return out

@@ -271,6 +271,27 @@ def test_metrics_point_depth_fwhm(tmp_path):
     assert rows[key[0]]["unit"] == "m"
 
 
+@pytest.mark.parametrize("depth", ["1.0", "nan", "-5"])
+def test_metrics_point_depth_outside_grid_exits_one(desk_run, tmp_path, capsys, depth):
+    rc = cli.main(["metrics", "--config", DESK, "--env",
+                   str(desk_run["bf_das"] / "das_env.cbtf"),
+                   "--point-depth", depth, "--out", str(tmp_path / "m")])
+    assert rc == 1
+    assert "DepthOutOfRange" in capsys.readouterr().err
+
+
+def test_report_rejects_bad_prune_ratio_before_any_work(tmp_path, capsys):
+    desk = Path(DESK).read_text()
+    assert "ratio = 0.5" in desk
+    cfg = tmp_path / "bad_ratio.ini"
+    cfg.write_text(desk.replace("ratio = 0.5", "ratio = 1.5"))
+    out = tmp_path / "r"
+    rc = cli.main(["report", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert "RatioOutOfRange" in capsys.readouterr().err
+    assert not (out / "rx_angle0.cbtf").exists()
+
+
 # ----------------------------------------------------------------- prune search
 
 

@@ -1,16 +1,19 @@
 """INI configuration parsing: layer grammar, defaults, typo rejection."""
 
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
 from capsbeam.config import (
     DEFAULT_ANGLES_DEG,
+    PruneSettings,
     RunConfig,
     load_config,
     parse_config_text,
 )
-from capsbeam.errors import InvalidConfig, IoFailure
+from capsbeam.errors import InvalidConfig, IoFailure, NonFinite, RatioOutOfRange
 
 DESK = "configs/desk.ini"
 DEFAULT = "configs/default.ini"
@@ -189,3 +192,96 @@ def test_prune_method_checked():
 def test_missing_file_raises_io_failure():
     with pytest.raises(IoFailure):
         load_config("configs/nonexistent.ini")
+
+
+# Every key the config reads into a settings dataclass or into RunConfig
+# itself: (section, key, text, parsed value). Listed here, not taken from
+# the parser's table, so a key dropped from that table fails.
+FIELD_KEYS = [
+    ("probe", "num_elements", "16", 16),
+    ("probe", "pitch_m", "2.5e-4", 2.5e-4),
+    ("probe", "speed_of_sound_mps", "1480", 1480.0),
+    ("probe", "sample_rate_hz", "40e6", 40e6),
+    ("probe", "center_freq_hz", "5e6", 5e6),
+    ("probe", "angles_deg", "-1, 1", (-1.0, 1.0)),
+    ("grid", "num_rows", "32", 32),
+    ("grid", "num_cols", "24", 24),
+    ("grid", "row_spacing_m", "2e-4", 2e-4),
+    ("grid", "col_spacing_m", "1e-4", 1e-4),
+    ("grid", "depth_origin_m", "4e-3", 4e-3),
+    ("grid", "dynamic_range_db", "40", 40.0),
+    ("phantom", "num_time_samples", "512", 512),
+    ("phantom", "noise_std", "0.5", 0.5),
+    ("mvdr", "subarray_len", "16", 16),
+    ("mvdr", "temporal_half_window", "3", 3),
+    ("mvdr", "diagonal_loading", "0.1", 0.1),
+    ("prune", "method", "magnitude", "magnitude"),
+    ("prune", "ratio", "0.5", 0.5),
+    ("prune", "lookahead", "3", 3),
+    ("quant", "enabled", "yes", True),
+    ("accel", "pe_rows", "8", 8),
+    ("accel", "pe_cols", "64", 64),
+    ("accel", "clock_hz", "2e8", 2e8),
+    ("accel", "dma_count", "4", 4),
+    ("accel", "dma_beat_bytes", "16", 16),
+    ("accel", "word_bits", "32", 32),
+    ("accel", "bram_budget_bytes", "65536", 65536),
+]
+RUN_KEYS = ("angles_deg", "dynamic_range_db", "num_time_samples", "noise_std")
+
+
+@pytest.mark.parametrize("section,key,raw,value", FIELD_KEYS)
+def test_field_key_round_trips(section, key, raw, value):
+    cfg = parse_config_text(f"[{section}]\n{key} = {raw}\n")
+    base = replace(RunConfig(), config_hash=cfg.config_hash)
+    if key in RUN_KEYS:
+        got, expected = getattr(cfg, key), replace(base, **{key: value})
+    else:
+        got = getattr(getattr(cfg, section), key)
+        expected = replace(base, **{section: replace(getattr(base, section), **{key: value})})
+    assert type(got) is type(value) and got == value
+    assert cfg == expected  # every other field keeps its default
+    assert repr(cfg) == repr(expected)
+
+
+@pytest.mark.parametrize("section,key", [(s, k) for s, k, _, _ in FIELD_KEYS])
+def test_malformed_field_value_names_section_and_key(section, key):
+    with pytest.raises(InvalidConfig, match=rf"^\[{section}\] {key}: "):
+        parse_config_text(f"[{section}]\n{key} = bogus\n")
+
+
+def test_transmit_angle_is_not_a_config_key():
+    with pytest.raises(InvalidConfig, match=r"unknown keys \['transmit_angle_rad'\]"):
+        parse_config_text("[probe]\ntransmit_angle_rad = 0.1\n")
+
+
+@pytest.mark.parametrize("text,where", [
+    ("[grid]\nrow_spacing_m = nan\n", "[grid] row_spacing_m"),
+    ("[grid]\ndepth_origin_m = inf\n", "[grid] depth_origin_m"),
+    ("[probe]\npitch_m = nan\n", "[probe] pitch_m"),
+    ("[probe]\nangles_deg = 0.0, nan\n", "[probe] angles_deg"),
+    ("[mvdr]\ndiagonal_loading = nan\n", "[mvdr] diagonal_loading"),
+    ("[accel]\nclock_hz = nan\n", "[accel] clock_hz"),
+    ("[prune]\nratio = nan\n", "[prune] ratio"),
+    ("[grid]\ndynamic_range_db = nan\n", "[grid] dynamic_range_db"),
+    ("[phantom]\ncysts = 0.0, nan, 3.0e-3, 0.0\n", "[phantom] cysts"),
+    ("[regions]\ncyst = circle(0.0, nan, 4.0e-3) target_in\n", "[regions] cyst"),
+    ("[grid]\ncol_spacing_m = -inf\n", "[grid] col_spacing_m"),
+])
+def test_non_finite_numbers_rejected(text, where):
+    with pytest.raises(NonFinite, match=re.escape(where)):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("ratio", ["1.5", "1.0", "-0.1"])
+def test_prune_ratio_checked_at_load(ratio):
+    with pytest.raises(RatioOutOfRange, match=r"\[prune\] ratio"):
+        parse_config_text(f"[prune]\nratio = {ratio}\n")
+
+
+def test_prune_settings_check_themselves():
+    assert PruneSettings(ratio=0.0) == PruneSettings(method="lakp_ml", ratio=0.0)
+    with pytest.raises(RatioOutOfRange):
+        PruneSettings(ratio=1.0)
+    with pytest.raises(InvalidConfig, match=r"\[prune\] method: unknown 'random'"):
+        PruneSettings(method="random")

@@ -32,6 +32,7 @@ from capsbeam.metrics import (
     check_disjoint,
     cnr,
     contrast_ratio,
+    depth_row,
     fwhm,
     gcnr,
     lateral_profile,
@@ -259,6 +260,17 @@ def test_lateral_profile_errors():
         lateral_profile(env, depth_m=5.0e-3, dynamic_range_db=0.0)
     with pytest.raises(AllZeroImage):
         lateral_profile(_env(np.zeros((16, 16))), depth_m=5.0e-3)
+
+
+def test_depth_row_is_nearest_and_checked():
+    # GRID rows sit at 0, 1, ..., 15 mm
+    assert depth_row(GRID, 0.0) == 0
+    assert depth_row(GRID, 15.0e-3) == 15
+    assert depth_row(GRID, 6.4e-3) == 6
+    assert depth_row(GRID, 6.6e-3) == 7
+    for depth in (-1.0e-6, 15.1e-3, float("nan"), float("inf")):
+        with pytest.raises(DepthOutOfRange):
+            depth_row(GRID, depth)
 
 
 # ---------------------------------------------------------------- point report
