@@ -22,11 +22,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .beamform import run_ranges
 from .data_model import EnvelopeImage, PixelGrid, RfVolume, Tensor, WeightBundle, require_finite
 from .errors import InvalidConfig, MissingWeight, ShapeMismatch
 
-# Rows processed per conv chunk; bounds the im2col working set on full frames.
-_CONV_ROW_CHUNK = 32
+# Bytes of one im2col copy. conv2d takes output rows in chunks of as many
+# whole rows as fit (at least one) and splits the chunks over
+# CAPSBEAM_THREADS workers, so this bounds each worker's copy (32 rows of
+# conv0 at default.ini took 38 MB); a desk-size conv is one chunk, inline.
+_IM2COL_BYTES = 2**22
+# Fewest multiply-adds a conv2d worker is given, about 15 ms of gemm on one
+# core: below that, starting a pool and an uneven split of few chunks cost
+# more than a second worker saves, so a 4-row band runs inline.
+_MIN_WORKER_MACS = 2**26
+# Pixels per routing + fc block, rounded down to whole image rows (at least
+# one), so every fc matmul is one gemm per image row as on a whole frame:
+# numpy's one-row product takes another BLAS kernel and other bytes.
+_PIXEL_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -225,12 +237,34 @@ def toy_config() -> CapsConfig:
 
 @dataclass
 class RoutingState:
-    """Snapshot of one routing iteration (leading dims are batch)."""
+    """Snapshot of one routing iteration (leading dims are batch); s is the
+    coupled sum before the squash."""
 
     logits_b: np.ndarray
     coupling_c: np.ndarray
     prediction_u_hat: np.ndarray
     output_v: np.ndarray
+    pre_squash_s: np.ndarray
+
+
+def _run_blocks(n: int, block: int, fn, grain: int = 1) -> None:
+    """Call fn(lo, hi) on each fixed block [k * block, min((k + 1) * block, n))
+    of [0, n), the blocks split over run_ranges workers with at least grain
+    blocks each. The blocks never depend on the worker count, so neither
+    does anything computed per block."""
+
+    def blocks(first, last):
+        for k in range(first, last):
+            fn(k * block, min((k + 1) * block, n))
+
+    run_ranges(-(-n // block), blocks, grain)
+
+
+def _chunk_rows(cols: int, weights_shape: tuple, itemsize: int) -> int:
+    """Output rows per im2col chunk: as many as fit in _IM2COL_BYTES, at least one."""
+    kh, kw, cin, _ = weights_shape
+    row_bytes = cols * kh * kw * cin * itemsize
+    return max(1, _IM2COL_BYTES // max(row_bytes, 1))
 
 
 def correlate(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -243,8 +277,9 @@ def correlate(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     rows, cols = padded.shape[0] - kh + 1, padded.shape[1] - kw + 1
     out = np.empty((rows, cols, cout), dtype=np.result_type(padded, weights))
     flat_w = weights.reshape(kh * kw * cin, cout)
-    for start in range(0, rows, _CONV_ROW_CHUNK):
-        stop = min(start + _CONV_ROW_CHUNK, rows)
+    step = _chunk_rows(cols, weights.shape, padded.itemsize)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
         window = sliding_window_view(padded[start : stop + kh - 1], (kh, kw), axis=(0, 1))
         # window: [chunk, cols, cin, kh, kw] -> [chunk, cols, kh, kw, cin]
         patch = window.transpose(0, 1, 3, 4, 2).reshape(stop - start, cols, kh * kw * cin)
@@ -257,7 +292,11 @@ def conv2d(values: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = No
     """Same-padded stride-1 cross-correlation on channel-last data.
 
     values [rows, cols, cin], weights [kh, kw, cin, cout]. Bias is added
-    before the optional ReLU.
+    before the optional ReLU. Output rows run in chunks of _chunk_rows on
+    CAPSBEAM_THREADS workers, each correlating its own zero-bordered slab.
+    numpy runs [rows, cols, k] @ [k, cout] as one gemm per row, so every
+    gemm has the same operands and shape however the rows are chunked, and
+    the bytes do not change.
     """
     values = np.asarray(values)
     weights = np.asarray(weights)
@@ -269,11 +308,27 @@ def conv2d(values: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = No
     if kh % 2 == 0 or kw % 2 == 0:
         raise InvalidConfig("conv2d requires odd kernels")
     ph, pw = kh // 2, kw // 2
-    out = correlate(np.pad(values, ((ph, ph), (pw, pw), (0, 0))), weights)
+    rows, cols = values.shape[:2]
+    work = np.result_type(values, weights)
     if bias is not None:
-        out = out + np.asarray(bias)
-    if relu:
-        out = np.maximum(out, 0)
+        bias = np.asarray(bias)
+    out = np.empty((rows, cols, cout), dtype=work if bias is None else np.result_type(work, bias))
+
+    def chunk(lo, hi):
+        # Zero-bordered input rows lo - ph .. hi + ph, cast in the copy.
+        slab = np.zeros((hi - lo + kh - 1, cols + kw - 1, cin), dtype=work)
+        top, bottom = max(lo - ph, 0), min(hi + ph, rows)
+        slab[top - lo + ph : bottom - lo + ph, pw : pw + cols] = values[top:bottom]
+        part = out[lo:hi]
+        part[...] = correlate(slab, weights)
+        if bias is not None:
+            part += bias
+        if relu:
+            np.maximum(part, 0, out=part)
+
+    step = _chunk_rows(cols, weights.shape, np.dtype(work).itemsize)
+    chunk_macs = step * cols * kh * kw * cin * cout
+    _run_blocks(rows, step, chunk, grain=-(-_MIN_WORKER_MACS // max(chunk_macs, 1)))
     return out
 
 
@@ -316,7 +371,7 @@ def dynamic_routing(u_hat: np.ndarray, num_iterations: int,
         if it < num_iterations - 1:
             b = b + np.einsum("...ijd,...jd->...ij", u_hat, v)
         if record is not None:
-            record.append(RoutingState(b.copy(), c, u_hat, v))
+            record.append(RoutingState(b.copy(), c, u_hat, v, s))
     return v
 
 
@@ -379,19 +434,26 @@ def _trace(trace: dict | None, name: str, values: np.ndarray):
         trace[name] = max(trace.get(name, 0.0), peak)
 
 
+def run_pixel_blocks(rows: int, cols: int, fn) -> None:
+    """_run_blocks over image rows, _PIXEL_BLOCK pixels (at least one row) a block."""
+    _run_blocks(rows, max(1, _PIXEL_BLOCK // cols), fn)
+
+
 def infer(rf: RfVolume, cfg: CapsConfig, weights: WeightBundle,
           trace: dict | None = None) -> EnvelopeImage:
     """Run the float network over a ToF-corrected volume.
 
-    trace, when given, accumulates per-stage max absolute activations
-    under the names used by quantization calibration.
+    Conv rows and routing + fc pixel blocks run on CAPSBEAM_THREADS
+    workers; the output bytes do not depend on how many. trace, when
+    given, accumulates per-stage max absolute activations under the names
+    used by quantization calibration.
     """
     cfg.validate_for_inference()
     if cfg.conv_layers[0].in_ch != rf.num_channels:
         raise ShapeMismatch(
             f"network expects {cfg.conv_layers[0].in_ch} channels, volume has {rf.num_channels}"
         )
-    x = rf.samples.astype(np.float64)
+    x = rf.samples
     _trace(trace, "input", x)
     stored = iter(cfg.weighted_layers())  # bundle order: conv, caps, fc, as below
     for i, layer in enumerate(cfg.conv_layers):
@@ -407,30 +469,36 @@ def infer(rf: RfVolume, cfg: CapsConfig, weights: WeightBundle,
         _trace(trace, f"caps{i}.out", caps)
         x = caps.reshape(rows, cols, layer.out_ch)
     routing = cfg.routing
+    n_in, n_out, dim = routing.num_in_capsules, routing.num_out_capsules, routing.out_dim
+    fc = [(layer, *(t.data.astype(np.float64) for t in layer_entries(weights, next(stored))))
+          for layer in cfg.fc_layers]
     rows, cols = x.shape[:2]
-    caps_in = x.reshape(rows * cols, routing.num_in_capsules, routing.in_dim)
-    u_hat = np.broadcast_to(
-        caps_in[:, :, None, :],
-        (rows * cols, routing.num_in_capsules, routing.num_out_capsules, routing.out_dim),
-    )
-    if trace is not None:
-        record: list[RoutingState] = []
+    out = np.empty((rows, cols, 2))
+    block_traces = []
+
+    def tail(lo, hi):
+        local = None if trace is None else {}
+        record = None if trace is None else []
+        caps_in = x[lo:hi].reshape(-1, n_in, 1, dim)
+        u_hat = np.broadcast_to(caps_in, (len(caps_in), n_in, n_out, dim))
         v = dynamic_routing(u_hat, routing.num_iterations, record=record)
-        for state in record:
-            _trace(trace, "routing.logits", state.logits_b)
-            s = np.einsum("...ij,...ijd->...jd", state.coupling_c, u_hat)
-            _trace(trace, "routing.pre", s)
-        _trace(trace, "routing.out", v)
-    else:
-        v = dynamic_routing(u_hat, routing.num_iterations)
-    x = v.reshape(rows, cols, routing.num_out_capsules * routing.out_dim)
-    for i, layer in enumerate(cfg.fc_layers):
-        w, b = (t.data.astype(np.float64) for t in layer_entries(weights, next(stored)))
-        x = x @ w + b
-        if layer.relu:
-            x = np.maximum(x, 0)
-        _trace(trace, f"fc{i}.out", x)
-    if x.shape[-1] != 2:
-        raise ShapeMismatch("network tail must emit 2 features")
-    return EnvelopeImage(grid=rf.grid, i_part=x[..., 0].astype(np.float32),
-                         q_part=x[..., 1].astype(np.float32))
+        for state in record or ():
+            _trace(local, "routing.logits", state.logits_b)
+            _trace(local, "routing.pre", state.pre_squash_s)
+        _trace(local, "routing.out", v)
+        y = v.reshape(hi - lo, cols, n_out * dim)
+        for i, (layer, w, b) in enumerate(fc):
+            y = y @ w + b
+            if layer.relu:
+                y = np.maximum(y, 0)
+            _trace(local, f"fc{i}.out", y)
+        out[lo:hi] = y
+        if local is not None:
+            block_traces.append(local)
+
+    run_pixel_blocks(rows, cols, tail)
+    for local in block_traces:
+        for name, peak in local.items():
+            trace[name] = max(trace.get(name, 0.0), peak)
+    return EnvelopeImage(grid=rf.grid, i_part=out[..., 0].astype(np.float32),
+                         q_part=out[..., 1].astype(np.float32))

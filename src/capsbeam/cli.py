@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 usage error, 1 runtime error.
 Layer names on the sim command line are 1-based: conv1 is the first
 conv layer, caps1 the first capsule conv, fc1 the first pointwise FC;
 "routing" and "all" are also accepted. CAPSBEAM_THREADS caps the threads of
-synth, tofc and MVDR (bitwise identical results); the rest run on one.
+synth, tofc, MVDR and the capsule network, float and fixed-point (bitwise
+identical results for any count); the sim command runs on one.
 
 Randomness exists only in synth and report (phantom speckle and weight
 init); --seed overrides the config seed there. The remaining commands

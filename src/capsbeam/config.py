@@ -64,6 +64,11 @@ class PruneSettings:
             raise InvalidConfig(f"[prune] method: unknown {self.method!r}")
         if not 0.0 <= self.ratio < 1.0:
             raise RatioOutOfRange(f"[prune] ratio: {self.ratio} outside [0, 1)")
+        # magnitude and lakp never read the radius; lakp_ml needs one >= 1.
+        if self.method == "lakp_ml" and self.lookahead < 1:
+            raise InvalidConfig(
+                f"[prune] lookahead: {self.lookahead} below 1, which method lakp_ml needs"
+            )
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,8 @@ class ProbeGeometry:
     center_freq_hz: float = 7.6e6
 
     def __post_init__(self):
+        require_finite_fields(self, "pitch_m", "speed_of_sound_mps", "sample_rate_hz",
+                              "transmit_angle_rad", "center_freq_hz")
         if self.num_elements < 1:
             raise InvalidConfig("num_elements must be positive")
         for name in ("pitch_m", "speed_of_sound_mps", "sample_rate_hz", "center_freq_hz"):
@@ -308,6 +310,7 @@ class PixelGrid:
     depth_origin_m: float = 5.0e-3
 
     def __post_init__(self):
+        require_finite_fields(self, "row_spacing_m", "col_spacing_m", "depth_origin_m")
         if self.num_rows < 1 or self.num_cols < 1:
             raise InvalidConfig("grid must have at least one row and column")
         if self.row_spacing_m <= 0 or self.col_spacing_m <= 0:
@@ -325,6 +328,15 @@ class PixelGrid:
     @property
     def num_pixels(self) -> int:
         return self.num_rows * self.num_cols
+
+
+def require_finite_fields(obj, *names: str) -> None:
+    """Raise NonFinite naming the first of obj's named float fields that is
+    NaN or infinite; comparisons such as x <= 0 let NaN through."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise NonFinite(f"{type(obj).__name__}.{name} is not finite: {value!r}")
 
 
 def require_finite(what: str, *arrays: np.ndarray) -> None:

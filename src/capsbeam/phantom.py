@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamform import run_ranges
-from .data_model import PixelGrid, ProbeGeometry, RfVolume
+from .data_model import PixelGrid, ProbeGeometry, RfVolume, require_finite_fields
 from .errors import InvalidConfig, NonFinite, OutOfField, ShapeMismatch
 
 # Envelope cutoff for pulse evaluation windows; below this the tail is dropped.
@@ -42,6 +42,7 @@ class CystRegion:
     echogenicity: float = 0.0
 
     def __post_init__(self):
+        require_finite_fields(self, "center_x_m", "center_z_m", "radius_m", "echogenicity")
         if self.radius_m <= 0:
             raise InvalidConfig("cyst radius must be positive")
         if not 0.0 <= self.echogenicity <= 1.0:

@@ -318,7 +318,7 @@ def _exact_float_weights(w_raw: np.ndarray) -> np.ndarray:
 def _int_conv(x_raw: np.ndarray, w_raw: np.ndarray) -> np.ndarray:
     """Exact same-padded cross-correlation accumulator of int16 raws, as int64."""
     w = _exact_float_weights(w_raw)
-    return capsnet.conv2d(x_raw.astype(np.float64), w).astype(np.int64)
+    return capsnet.conv2d(x_raw, w).astype(np.int64)
 
 
 def _bias_to_acc(b_raw: np.ndarray, from_f: int, acc_f: int) -> np.ndarray:
@@ -374,32 +374,38 @@ def infer_quantized(rf: RfVolume, cfg, bundle: WeightBundle,
         x, f_x = caps.reshape(rows, cols, layer.out_ch), f_out
         f_caps = f_out
     routing = cfg.routing
-    rows, cols = x.shape[:2]
-    v = _routing_fixed(
-        x.reshape(rows * cols, routing.num_in_capsules, routing.in_dim),
-        f_caps,
-        routing.num_out_capsules,
-        routing.num_iterations,
-        f_logit=plan.scale("routing.logits"),
-        f_pre=plan.scale("routing.pre"),
-    )
-    f_v = plan.scale("routing.out")
-    x = requantize(v.astype(np.int64), plan.scale("routing.pre"), f_v)
-    x = x.reshape(rows, cols, routing.num_out_capsules * routing.out_dim)
-    f_x = f_v
+    f_logit, f_pre = plan.scale("routing.logits"), plan.scale("routing.pre")
+    f_v = f_x = plan.scale("routing.out")
+    fc = []
     for i, layer in enumerate(cfg.fc_layers):
         f_w = plan.scale(f"fc{i}.weight")
         f_b = plan.scale(f"fc{i}.bias")
         f_out = plan.scale(f"fc{i}.out")
         w_entry, b_entry = capsnet.layer_entries(bundle, next(stored))
         w, b = _entry_raw(w_entry, f_w), _entry_raw(b_entry, f_b)
-        acc = _int_conv(x, w.reshape(1, 1, *w.shape)) + _bias_to_acc(b, f_b, f_x + f_w)
-        out = requantize(acc, f_x + f_w, f_out)
-        if layer.relu:
-            out = np.maximum(out, 0).astype(np.int16)
-        x, f_x = out, f_out
-    i_part = dequantize_array(x[..., 0], f_x).astype(np.float32)
-    q_part = dequantize_array(x[..., 1], f_x).astype(np.float32)
+        fc.append((layer, w.reshape(1, 1, *w.shape), _bias_to_acc(b, f_b, f_x + f_w),
+                   f_x + f_w, f_out))
+        f_x = f_out
+    rows, cols = x.shape[:2]
+    iq = np.empty((rows, cols, 2), dtype=np.int16)
+
+    def tail(lo, hi):
+        # Image rows lo..hi, exact integer arithmetic per pixel. The fc
+        # layers run as 1x1 convs over a one-row image of the block's
+        # pixels, which conv2d runs inline inside this worker.
+        v = _routing_fixed(x[lo:hi].reshape(-1, routing.num_in_capsules, routing.in_dim),
+                           f_caps, routing.num_out_capsules, routing.num_iterations,
+                           f_logit=f_logit, f_pre=f_pre)
+        y = requantize(v.astype(np.int64), f_pre, f_v).reshape(1, len(v), -1)
+        for layer, w, b_acc, acc_f, f_out in fc:
+            y = requantize(_int_conv(y, w) + b_acc, acc_f, f_out)
+            if layer.relu:
+                y = np.maximum(y, 0).astype(np.int16)
+        iq[lo:hi] = y.reshape(hi - lo, cols, 2)
+
+    capsnet.run_pixel_blocks(rows, cols, tail)
+    i_part = dequantize_array(iq[..., 0], f_x).astype(np.float32)
+    q_part = dequantize_array(iq[..., 1], f_x).astype(np.float32)
     return EnvelopeImage(grid=rf.grid, i_part=i_part, q_part=q_part)
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsbeam import capsnet
 from capsbeam.capsnet import (
     CapsConfig,
     CapsConvLayerCfg,
@@ -20,6 +21,7 @@ from capsbeam.capsnet import (
     RoutingState,
     caps_conv_layer,
     conv2d,
+    correlate,
     default_config,
     dynamic_routing,
     infer,
@@ -74,6 +76,26 @@ def test_conv2d_1x1_is_pointwise_matmul():
     weights = rng.standard_normal((1, 1, 5, 2))
     got = conv2d(values, weights)
     np.testing.assert_allclose(got, values @ weights[0, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv2d_equals_pad_then_correlate(monkeypatch, dtype):
+    # conv2d borders each row chunk's slab itself; the bytes must equal
+    # padding the whole input once and correlating it, chunk seams included.
+    monkeypatch.setenv("CAPSBEAM_THREADS", "2")
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 1)  # one output row a chunk
+    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((11, 9, 3)).astype(dtype)
+    weights = rng.standard_normal((5, 3, 3, 4)).astype(dtype)
+    bias = rng.standard_normal(4).astype(dtype)
+    ref = correlate(np.pad(values, ((2, 2), (1, 1), (0, 0))), weights)
+    cases = {(None, False): ref, (None, True): np.maximum(ref, 0),
+             ("bias", False): ref + bias, ("bias", True): np.maximum(ref + bias, 0)}
+    for (with_bias, relu), expected in cases.items():
+        got = conv2d(values, weights, bias if with_bias else None, relu=relu)
+        assert got.dtype == expected.dtype == dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_conv2d_rejects_bad_shapes():
@@ -161,6 +183,9 @@ def test_routing_coupling_rows_sum_to_one():
     assert len(record) == 3
     for state in record:
         np.testing.assert_allclose(state.coupling_c.sum(axis=-1), 1.0, atol=1e-12)
+        s = np.einsum("...ij,...ijd->...jd", state.coupling_c, u_hat)
+        np.testing.assert_array_equal(state.pre_squash_s, s)
+        np.testing.assert_array_equal(squash(state.pre_squash_s), state.output_v)
 
 
 def test_routing_logits_frozen_after_final_iteration():
@@ -326,6 +351,24 @@ def test_infer_is_deterministic(toy_cfg, toy_weights, toy_rf):
     b = infer(toy_rf, toy_cfg, toy_weights)
     np.testing.assert_array_equal(a.i_part, b.i_part)
     np.testing.assert_array_equal(a.q_part, b.q_part)
+
+
+def test_infer_bytes_independent_of_threads_and_blocks(monkeypatch, toy_cfg,
+                                                       loud_toy_weights, wide_rf):
+    # Reference: one conv chunk and one routing block, on one thread.
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**40)
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 10**9)
+    monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+    ref = infer(wide_rf, toy_cfg, loud_toy_weights)
+    assert len(np.unique(ref.i_part)) > 1000
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**16)  # conv0: 2 rows a chunk
+    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)  # thread even toy convs
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # 7 blocks of 10 rows
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+        env = infer(wide_rf, toy_cfg, loud_toy_weights)
+        assert env.i_part.tobytes() == ref.i_part.tobytes(), threads
+        assert env.q_part.tobytes() == ref.q_part.tobytes(), threads
 
 
 def test_infer_channel_mismatch(toy_cfg, toy_weights):

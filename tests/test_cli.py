@@ -292,6 +292,18 @@ def test_report_rejects_bad_prune_ratio_before_any_work(tmp_path, capsys):
     assert not (out / "rx_angle0.cbtf").exists()
 
 
+def test_report_rejects_zero_lookahead_before_any_work(tmp_path, capsys):
+    desk = Path(DESK).read_text()
+    assert "method = lakp_ml" in desk and "lookahead = 2" in desk
+    cfg = tmp_path / "bad_lookahead.ini"
+    cfg.write_text(desk.replace("lookahead = 2", "lookahead = 0"))
+    out = tmp_path / "r"
+    rc = cli.main(["report", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert "[prune] lookahead" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ----------------------------------------------------------------- prune search
 
 

@@ -285,3 +285,10 @@ def test_prune_settings_check_themselves():
         PruneSettings(ratio=1.0)
     with pytest.raises(InvalidConfig, match=r"\[prune\] method: unknown 'random'"):
         PruneSettings(method="random")
+    # Only lakp_ml reads the lookahead radius, so only it rejects one below 1.
+    with pytest.raises(InvalidConfig, match=r"\[prune\] lookahead"):
+        PruneSettings(method="lakp_ml", lookahead=0)
+    with pytest.raises(InvalidConfig, match=r"\[prune\] lookahead"):
+        parse_config_text("[prune]\nlookahead = -1\n")
+    for method in ("magnitude", "lakp"):
+        assert PruneSettings(method=method, lookahead=0).lookahead == 0

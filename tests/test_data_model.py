@@ -192,6 +192,19 @@ def test_grid_axes():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls, name", [
+    (ProbeGeometry, "pitch_m"), (ProbeGeometry, "speed_of_sound_mps"),
+    (ProbeGeometry, "sample_rate_hz"), (ProbeGeometry, "transmit_angle_rad"),
+    (ProbeGeometry, "center_freq_hz"), (PixelGrid, "row_spacing_m"),
+    (PixelGrid, "col_spacing_m"), (PixelGrid, "depth_origin_m"),
+])
+def test_geometry_rejects_non_finite(cls, name, bad):
+    # NaN passes the x <= 0 checks, so each field needs its own finiteness check.
+    with pytest.raises(NonFinite, match=f"{cls.__name__}.{name}"):
+        cls(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_rf_volume_rejects_non_finite(bad):
     grid = PixelGrid(num_rows=3, num_cols=2)
     samples = np.zeros((3, 2, 4), dtype=np.float32)

@@ -231,6 +231,15 @@ def test_validation_errors(probe8):
         simulate_rx(Phantom(), probe8, 1)
 
 
+@pytest.mark.parametrize("field", ["center_x_m", "center_z_m", "radius_m", "echogenicity"])
+def test_cyst_rejects_non_finite(field):
+    # A NaN cyst passed its radius check and then contained no pixel.
+    fields = {"center_x_m": 0.0, "center_z_m": 4.0e-3, "radius_m": 1.0e-3,
+              "echogenicity": 0.5}
+    with pytest.raises(NonFinite, match=f"CystRegion.{field}"):
+        CystRegion(**{**fields, field: float("nan")})
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_realize_determinism_property(seed):

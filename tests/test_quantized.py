@@ -6,11 +6,14 @@ exactly one at any scale; the degree-5 Taylor polynomial at +-1 is
 65/24 and 0.375; a unit vector squashes to length 1/2.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsbeam import capsnet
 from capsbeam.capsnet import infer, init_weights, toy_config
 from capsbeam.data_model import RfVolume, Tensor, WeightBundle
 from capsbeam.errors import (
@@ -314,6 +317,49 @@ def test_infer_quantized_deterministic(toy_cfg, toy_weights, toy_rf):
     b = infer_quantized(toy_rf, toy_cfg, qb)
     np.testing.assert_array_equal(a.i_part, b.i_part)
     np.testing.assert_array_equal(a.q_part, b.q_part)
+
+
+def test_infer_quantized_bytes_independent_of_threads_and_blocks(monkeypatch, toy_cfg,
+                                                                 loud_toy_weights, wide_rf):
+    qbundle = quantize_bundle(loud_toy_weights, calibrate(loud_toy_weights, [wide_rf], toy_cfg))
+    # Reference: one conv chunk and one routing block, on one thread.
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**40)
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 10**9)
+    monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+    ref = infer_quantized(wide_rf, toy_cfg, qbundle)
+    assert len(np.unique(ref.i_part)) > 1000
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**16)  # conv0: 2 rows a chunk
+    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)  # thread even toy convs
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # 7 blocks of 10 rows
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+        env = infer_quantized(wide_rf, toy_cfg, qbundle)
+        assert env.i_part.tobytes() == ref.i_part.tobytes(), threads
+        assert env.q_part.tobytes() == ref.q_part.tobytes(), threads
+
+
+def test_calibrate_independent_of_threads(monkeypatch, toy_cfg, loud_toy_weights, wide_rf):
+    # Workers trace their own blocks and the maxima are folded after they
+    # finish. More workers than cores and a short switch interval give a
+    # lost or torn update every chance to show in the trace.
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**16)
+    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)
+    monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+    ref_plan = calibrate(loud_toy_weights, [wide_rf], toy_cfg)
+    ref_trace: dict = {}
+    infer(wide_rf, toy_cfg, loud_toy_weights, trace=ref_trace)
+    monkeypatch.setenv("CAPSBEAM_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        plan = calibrate(loud_toy_weights, [wide_rf], toy_cfg)
+        trace: dict = {}
+        infer(wide_rf, toy_cfg, loud_toy_weights, trace=trace)
+    finally:
+        sys.setswitchinterval(interval)
+    assert plan.scales == ref_plan.scales
+    assert trace == ref_trace
 
 
 def test_infer_quantized_float_bundle_with_plan(toy_cfg, toy_weights, toy_rf):
