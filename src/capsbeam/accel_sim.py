@@ -1,11 +1,11 @@
 """Transaction- and cycle-accurate model of the streaming conv engine.
 
-Functional semantics reproduce the fixed-point path bit for bit by using
-its exact float64 im2col kernel (capsnet.correlate) and its routing. The
-conv engine walks a rolling line buffer of kernel-height input rows (zero
-rows at the image edges) and computes each output row for every filter at
-once. Pruned layers carry rectangular kept-channel index lists, decoded
-once per layer by pruning.expand_index; the ledgers charge kept kernels.
+The functional replay is the fixed-point path itself: a conv layer runs
+quantized.conv_fixed (the row-chunked exact conv with bias, requantize and
+ReLU per chunk) and routing runs its fixed-point routing, so the outputs
+match bit for bit. Pruned layers carry rectangular kept-channel index
+lists, decoded once per layer by pruning.expand_index; the ledgers charge
+kept kernels.
 
 The timing model is analytic, not RTL: compute cycles are
 rows * ceil(cout / pe_rows) * ceil(cols / pe_cols) * kh * kw * kept_cin,
@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capsnet import RoutingCfg, correlate
+from .capsnet import RoutingCfg
 from .data_model import PixelGrid, routing_flops_per_pixel
 from .errors import BramOverflow, InvalidConfig, ShapeMismatch
 from .pruning import expand_index, kept_per_filter
-from .quantized import _bias_to_acc, _exact_float_weights, _routing_fixed, requantize
+from .quantized import _routing_fixed, conv_fixed
 
 POLICIES = ("reload_per_block", "weights_resident")
 
@@ -251,11 +251,11 @@ def sim_conv_layer(
 ) -> tuple[np.ndarray, SimReport]:
     """Stream one conv layer through the modeled engine.
 
-    Returns the int16 output activations and a report. Each output row is
-    one correlate over the column-padded line buffer; the bias is added to
-    the accumulator before requantization and ReLU, so the output matches
-    the whole-tensor fixed-point path bit for bit. Index entries outside
-    [0, cin) or repeated within a filter raise IndexOutOfRange.
+    Returns the int16 output activations and a report. The output is the
+    fixed-point path's quantized.conv_fixed on the index-expanded weights;
+    the timing (the streamed words, cycles and BRAM working set of an
+    engine that holds kernel-height input rows) is analytic. Index entries
+    outside [0, cin) or repeated within a filter raise IndexOutOfRange.
 
     Unlike count_transactions, which counts reads only, this ledger also
     charges bias and index words and the written output stream.
@@ -274,7 +274,6 @@ def sim_conv_layer(
     weight = spec.weight
     if spec.index is not None:
         weight = expand_index(weight, spec.index, cin, spec.name)
-    weight = _exact_float_weights(weight)
     shape = LayerShape(rows, cols, kh, kw, cin, cout, cin_kept=kept, cout_kept=cout)
     weight_words = kh * kw * kept * cout + cout + (kept * cout if spec.index is not None else 0)
     if policy == "reload_per_block":
@@ -288,37 +287,8 @@ def sim_conv_layer(
             f"{spec.name}: working set {layer.bram_bytes} B exceeds budget "
             f"{accel.bram_budget_bytes} B"
         )
-    report = SimReport(clock_hz=accel.clock_hz, per_layer=[layer])
-    out = np.zeros((rows, cols, cout), dtype=np.int16)
-    if rows == 0:
-        return out, report
-    acc_f = spec.f_in + spec.f_w
-    bias_acc = _bias_to_acc(np.asarray(spec.bias), spec.f_b, acc_f)
-    pw = kw // 2
-    line = np.zeros((kh, cols, cin), dtype=np.int16)
-    if kh > 1:
-        line[kh // 2] = x[0]
-    else:
-        line[0] = x[0]
-    # Pre-fill rows below center for kernel heights above 3.
-    for k in range(kh // 2 + 1, kh - 1):
-        if k - kh // 2 <= rows - 1:
-            line[k] = x[k - kh // 2]
-    for r in range(rows):
-        if kh == 1:
-            line[0] = x[r]
-        else:
-            if r != 0:
-                line[:-1] = line[1:]
-            if r + kh // 2 <= rows - 1:
-                line[-1] = x[r + kh // 2]
-            else:
-                line[-1] = 0
-        padded = np.pad(line.astype(np.float64), ((0, 0), (pw, pw), (0, 0)))
-        acc = correlate(padded, weight)[0].astype(np.int64)  # [cols, cout]
-        val = requantize(acc + bias_acc, acc_f, spec.f_out)
-        out[r] = np.maximum(val, 0) if spec.relu else val
-    return out, report
+    out = conv_fixed(x, weight, spec.bias, spec.f_in, spec.f_w, spec.f_b, spec.f_out, spec.relu)
+    return out, SimReport(clock_hz=accel.clock_hz, per_layer=[layer])
 
 
 def routing_cycles_per_pixel(n_caps: int, dim: int, iterations: int) -> int:

@@ -17,13 +17,13 @@ layout, and layer_entries fetches one layer's checked entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .beamform import run_ranges
-from .data_model import EnvelopeImage, PixelGrid, RfVolume, Tensor, WeightBundle, require_finite
+from .data_model import EnvelopeImage, RfVolume, Tensor, WeightBundle, require_finite
 from .errors import InvalidConfig, MissingWeight, ShapeMismatch
 
 # Bytes of one im2col copy. conv2d takes output rows in chunks of as many
@@ -268,35 +268,32 @@ def _chunk_rows(cols: int, weights_shape: tuple, itemsize: int) -> int:
 
 
 def correlate(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Valid stride-1 cross-correlation by im2col and one matmul per row chunk.
+    """Valid stride-1 cross-correlation by im2col and one matmul.
 
     padded [rows + kh - 1, cols + kw - 1, cin] already carries any border;
-    weights [kh, kw, cin, cout]. Returns [rows, cols, cout].
+    weights [kh, kw, cin, cout]. Returns [rows, cols, cout]. The im2col copy
+    spans every row, so callers hand it slabs of at most _chunk_rows rows.
     """
     kh, kw, cin, cout = weights.shape
     rows, cols = padded.shape[0] - kh + 1, padded.shape[1] - kw + 1
-    out = np.empty((rows, cols, cout), dtype=np.result_type(padded, weights))
-    flat_w = weights.reshape(kh * kw * cin, cout)
-    step = _chunk_rows(cols, weights.shape, padded.itemsize)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        window = sliding_window_view(padded[start : stop + kh - 1], (kh, kw), axis=(0, 1))
-        # window: [chunk, cols, cin, kh, kw] -> [chunk, cols, kh, kw, cin]
-        patch = window.transpose(0, 1, 3, 4, 2).reshape(stop - start, cols, kh * kw * cin)
-        out[start:stop] = patch @ flat_w
-    return out
+    window = sliding_window_view(padded, (kh, kw), axis=(0, 1))
+    # window: [rows, cols, cin, kh, kw] -> [rows, cols, kh, kw, cin]
+    patch = window.transpose(0, 1, 3, 4, 2).reshape(rows, cols, kh * kw * cin)
+    return patch @ weights.reshape(kh * kw * cin, cout)
 
 
 def conv2d(values: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None,
-           relu: bool = False) -> np.ndarray:
+           relu: bool = False, epilogue=None, out_dtype=None) -> np.ndarray:
     """Same-padded stride-1 cross-correlation on channel-last data.
 
-    values [rows, cols, cin], weights [kh, kw, cin, cout]. Bias is added
-    before the optional ReLU. Output rows run in chunks of _chunk_rows on
-    CAPSBEAM_THREADS workers, each correlating its own zero-bordered slab.
-    numpy runs [rows, cols, k] @ [k, cout] as one gemm per row, so every
-    gemm has the same operands and shape however the rows are chunked, and
-    the bytes do not change.
+    values [rows, cols, cin], weights [kh, kw, cin, cout]. Output rows run
+    in chunks of _chunk_rows on CAPSBEAM_THREADS workers, each correlating
+    its own zero-bordered slab and storing epilogue(acc) for its
+    accumulator acc [chunk rows, cols, cout] as out_dtype. The default
+    epilogue adds the bias, then applies the optional ReLU; a caller's
+    epilogue replaces both. numpy runs [rows, cols, k] @ [k, cout] as one
+    gemm per row, so every gemm has the same operands and shape however
+    the rows are chunked, and the bytes do not change.
     """
     values = np.asarray(values)
     weights = np.asarray(weights)
@@ -310,21 +307,24 @@ def conv2d(values: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = No
     ph, pw = kh // 2, kw // 2
     rows, cols = values.shape[:2]
     work = np.result_type(values, weights)
-    if bias is not None:
-        bias = np.asarray(bias)
-    out = np.empty((rows, cols, cout), dtype=work if bias is None else np.result_type(work, bias))
+    if epilogue is None:
+        bias = None if bias is None else np.asarray(bias)
+        out_dtype = work if bias is None else np.result_type(work, bias)
+
+        def epilogue(acc):
+            acc = acc.astype(out_dtype, copy=False)
+            if bias is not None:
+                acc += bias
+            return np.maximum(acc, 0, out=acc) if relu else acc
+
+    out = np.empty((rows, cols, cout), dtype=out_dtype)
 
     def chunk(lo, hi):
         # Zero-bordered input rows lo - ph .. hi + ph, cast in the copy.
         slab = np.zeros((hi - lo + kh - 1, cols + kw - 1, cin), dtype=work)
         top, bottom = max(lo - ph, 0), min(hi + ph, rows)
         slab[top - lo + ph : bottom - lo + ph, pw : pw + cols] = values[top:bottom]
-        part = out[lo:hi]
-        part[...] = correlate(slab, weights)
-        if bias is not None:
-            part += bias
-        if relu:
-            np.maximum(part, 0, out=part)
+        out[lo:hi] = epilogue(correlate(slab, weights))
 
     step = _chunk_rows(cols, weights.shape, np.dtype(work).itemsize)
     chunk_macs = step * cols * kh * kw * cin * cout
@@ -373,19 +373,6 @@ def dynamic_routing(u_hat: np.ndarray, num_iterations: int,
         if record is not None:
             record.append(RoutingState(b.copy(), c, u_hat, v, s))
     return v
-
-
-def caps_conv_layer(values: np.ndarray, layer: CapsConvLayerCfg, weights: np.ndarray,
-                    bias: np.ndarray | None) -> np.ndarray:
-    """Conv (no ReLU), reshape each pixel to capsules, squash per capsule.
-
-    Returns [rows, cols, num_capsules, capsule_dim].
-    """
-    layer.validate()
-    out = conv2d(values, weights, bias, relu=False)
-    rows, cols = out.shape[:2]
-    caps = out.reshape(rows, cols, layer.num_capsules, layer.capsule_dim)
-    return squash(caps, axis=-1)
 
 
 def init_weights(cfg: CapsConfig, seed: int = 0) -> WeightBundle:

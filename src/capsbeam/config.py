@@ -8,8 +8,9 @@ name says otherwise (angles in degrees, densities per mm^2).
 
 [probe], [grid], [mvdr], [prune], [quant] and [accel] keys are the fields
 of their settings dataclass (_SECTIONS), typed and defaulted by it. A NaN
-or infinite number raises NonFinite naming [section] key (noise_std is
-left to simulate_rx); a bad [prune] ratio or method is rejected at load.
+or infinite number raises NonFinite naming [section] key, except that a
+bad [phantom] noise_std (NaN, infinite or negative) raises InvalidConfig,
+as simulate_rx does; a bad [prune] ratio or method is rejected at load.
 
 Layer grammar for [capsnet]:
   conv    = 3x3:128->128:relu, 3x3:128->88:relu
@@ -93,6 +94,12 @@ class RunConfig:
     dynamic_range_db: float = 60.0
     config_hash: str = "default"
 
+    def __post_init__(self):
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise InvalidConfig(
+                f"[phantom] noise_std: {self.noise_std!r} is not finite and non-negative"
+            )
+
     @property
     def angles_rad(self) -> tuple[float, ...]:
         return tuple(math.radians(a) for a in self.angles_deg)
@@ -116,7 +123,7 @@ def _to_float(section: str, key: str, raw: str) -> float:
         value = float(raw)
     except ValueError as exc:
         raise InvalidConfig(f"[{section}] {key}: not a number: {raw!r}") from exc
-    # simulate_rx rejects a NaN or inf noise_std as InvalidConfig.
+    # RunConfig rejects a NaN or inf noise_std as InvalidConfig, as simulate_rx does.
     if not math.isfinite(value) and key != "noise_std":
         raise NonFinite(f"[{section}] {key}: not finite: {raw!r}")
     return value

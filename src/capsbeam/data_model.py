@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BadEncoding,
     BadMagic,
     DimOverflow,
     InvalidConfig,
@@ -197,9 +198,14 @@ def _meta_entry(key: str, value: str) -> Tensor:
     return Tensor(dims=(raw.size,), dtype=DTYPE_FIXED16, data=raw, scale_exp=0)
 
 
-def _meta_value(tensor: Tensor) -> str:
-    raw = tensor.data.astype(np.uint8).tobytes()
-    return raw.rstrip(b"\x00").decode("utf-8")
+def _utf8(raw: bytes, path, idx: int) -> str:
+    """raw decoded as UTF-8; BadEncoding naming bundle entry idx if it is not."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(
+            f"{path}: entry {idx} is not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def write_bundle_file(bundle: WeightBundle, path) -> None:
@@ -247,11 +253,12 @@ def read_bundle_file(path) -> WeightBundle:
         offset += 2
         if len(buf) < offset + name_len:
             raise TruncatedFile(f"{path}: entry {idx} name truncated")
-        name = buf[offset : offset + name_len].decode("utf-8")
+        name = _utf8(buf[offset : offset + name_len], path, idx)
         offset += name_len
         tensor, offset = _parse_tensor(buf, offset, f"{path}[{name}]")
         if name.startswith(META_PREFIX):
-            bundle.metadata[name[len(META_PREFIX) :]] = _meta_value(tensor)
+            value = tensor.data.astype(np.uint8).tobytes().rstrip(b"\x00")
+            bundle.metadata[name[len(META_PREFIX) :]] = _utf8(value, path, idx)
         else:
             if name in bundle.entries:
                 raise InvalidConfig(f"{path}: duplicate entry name {name!r}")

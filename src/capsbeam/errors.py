@@ -32,6 +32,10 @@ class IoFailure(ToolError):
     """Underlying OS read or write failed."""
 
 
+class BadEncoding(ToolError):
+    """A bundle entry name or metadata value is not valid UTF-8."""
+
+
 # configuration and geometry -------------------------------------------------
 
 class InvalidConfig(ToolError):

@@ -7,11 +7,15 @@ products and dot products accumulate exactly, the finished accumulator
 saturates to 32 bits, and every rescale is a power-of-two shift rounded
 half away from zero, saturating to int16.
 
-Conv and fc accumulators run through the float64 im2col matmul of
-capsnet.conv2d. That is exact, not approximate: |int16 * int16| <= 2^30,
-so while a dot product has at most MAX_EXACT_TAPS = 2^23 taps every
-partial sum is an integer of magnitude <= 2^53, which float64 holds
-exactly in any summation order. Larger tap counts raise InvalidConfig.
+Every conv, capsule conv and fc layer (fc as a 1x1 conv) is one
+conv_fixed call, in infer_quantized and in the accel_sim replay alike. It
+accumulates through the float64 im2col matmul of capsnet.conv2d and, per
+row chunk of that conv, adds the bias at accumulator scale, requantizes
+and applies the ReLU, so no whole-frame accumulator is held. The float64
+sum is exact, not approximate: |int16 * int16| <= 2^30, so while a dot
+product has at most MAX_EXACT_TAPS = 2^23 taps every partial sum is an
+integer of magnitude <= 2^53, which float64 holds exactly in any
+summation order. Larger tap counts raise InvalidConfig.
 
 The softmax exponential is the 5-term Taylor polynomial
 1 + x + x^2/2 + x^3/6 + x^4/24 in Horner form. Its input is clamped to
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -316,7 +321,8 @@ def _exact_float_weights(w_raw: np.ndarray) -> np.ndarray:
 
 
 def _int_conv(x_raw: np.ndarray, w_raw: np.ndarray) -> np.ndarray:
-    """Exact same-padded cross-correlation accumulator of int16 raws, as int64."""
+    """Exact same-padded cross-correlation accumulator of int16 raws, as
+    int64, over the whole tensor: the reference conv_fixed is tested against."""
     w = _exact_float_weights(w_raw)
     return capsnet.conv2d(x_raw, w).astype(np.int64)
 
@@ -326,6 +332,26 @@ def _bias_to_acc(b_raw: np.ndarray, from_f: int, acc_f: int) -> np.ndarray:
     if shift >= 0:
         return b_raw.astype(np.int64) << shift
     return shift_round(b_raw.astype(np.int64), -shift)
+
+
+def conv_fixed(x_raw: np.ndarray, w_raw: np.ndarray, b_raw: np.ndarray, f_in: int,
+               f_w: int, f_b: int, f_out: int, relu: bool) -> np.ndarray:
+    """One fixed-point conv layer on int16 raws [rows, cols, cin] at f_in.
+
+    Weights [kh, kw, cin, cout] at f_w accumulate exactly at f_in + f_w;
+    the bias joins at that scale, then requantize to f_out and the
+    optional ReLU. All of it runs per capsnet.conv2d row chunk, so no
+    whole-frame accumulator exists. Returns int16 [rows, cols, cout].
+    """
+    acc_f = f_in + f_w
+    bias_acc = _bias_to_acc(np.asarray(b_raw), f_b, acc_f)
+
+    def finish(acc):
+        out = requantize(acc.astype(np.int64) + bias_acc, acc_f, f_out)
+        return np.maximum(out, 0) if relu else out
+
+    return capsnet.conv2d(x_raw, _exact_float_weights(w_raw), epilogue=finish,
+                          out_dtype=np.int16)
 
 
 def infer_quantized(rf: RfVolume, cfg, bundle: WeightBundle,
@@ -346,46 +372,38 @@ def infer_quantized(rf: RfVolume, cfg, bundle: WeightBundle,
     f_x = plan.scale("input")
     x = quantize_array(rf.samples, f_x)
     stored = iter(cfg.weighted_layers())  # bundle order: conv, caps, fc, as below
-    for i, layer in enumerate(cfg.conv_layers):
-        f_w = plan.scale(f"conv{i}.weight")
-        f_b = plan.scale(f"conv{i}.bias")
-        f_out = plan.scale(f"conv{i}.out")
-        w_entry, b_entry = capsnet.layer_entries(bundle, next(stored))
-        w, b = _entry_raw(w_entry, f_w), _entry_raw(b_entry, f_b)
-        acc = _int_conv(x, w) + _bias_to_acc(b, f_b, f_x + f_w)
-        out = requantize(acc, f_x + f_w, f_out)
-        if layer.relu:
-            out = np.maximum(out, 0).astype(np.int16)
-        x, f_x = out, f_out
-    f_caps = f_x
+
+    def next_layer(f_in: int, out: str, relu: bool):
+        """The next stored layer as conv_fixed from scale f_in to the scale
+        of its activation `out` (fc weights as 1x1 kernels), and that scale."""
+        layer = next(stored)
+        f_w, f_b = plan.scale(f"{layer.name}.weight"), plan.scale(f"{layer.name}.bias")
+        f_out = plan.scale(f"{layer.name}.{out}")
+        w_entry, b_entry = capsnet.layer_entries(bundle, layer)
+        w = _entry_raw(w_entry, f_w).reshape(
+            layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
+        return partial(conv_fixed, w_raw=w, b_raw=_entry_raw(b_entry, f_b), f_in=f_in,
+                       f_w=f_w, f_b=f_b, f_out=f_out, relu=relu), f_out
+
+    for layer in cfg.conv_layers:
+        conv, f_x = next_layer(f_x, "out", layer.relu)
+        x = conv(x)
     for i, layer in enumerate(cfg.caps_conv_layers):
-        f_w = plan.scale(f"caps{i}.weight")
-        f_b = plan.scale(f"caps{i}.bias")
-        f_pre = plan.scale(f"caps{i}.pre")
+        conv, f_pre = next_layer(f_x, "pre", relu=False)
         f_out = plan.scale(f"caps{i}.out")
-        w_entry, b_entry = capsnet.layer_entries(bundle, next(stored))
-        w, b = _entry_raw(w_entry, f_w), _entry_raw(b_entry, f_b)
-        acc = _int_conv(x, w) + _bias_to_acc(b, f_b, f_x + f_w)
-        pre = requantize(acc, f_x + f_w, f_pre)
+        pre = conv(x)
         rows, cols = pre.shape[:2]
-        grouped = pre.reshape(rows, cols, layer.num_capsules, layer.capsule_dim)
-        v = _squash_rows(grouped, f_pre)
+        v = _squash_rows(pre.reshape(rows, cols, layer.num_capsules, layer.capsule_dim), f_pre)
         caps = requantize(v.astype(np.int64), f_pre, f_out)
         x, f_x = caps.reshape(rows, cols, layer.out_ch), f_out
-        f_caps = f_out
+    f_caps = f_x
     routing = cfg.routing
     f_logit, f_pre = plan.scale("routing.logits"), plan.scale("routing.pre")
     f_v = f_x = plan.scale("routing.out")
     fc = []
-    for i, layer in enumerate(cfg.fc_layers):
-        f_w = plan.scale(f"fc{i}.weight")
-        f_b = plan.scale(f"fc{i}.bias")
-        f_out = plan.scale(f"fc{i}.out")
-        w_entry, b_entry = capsnet.layer_entries(bundle, next(stored))
-        w, b = _entry_raw(w_entry, f_w), _entry_raw(b_entry, f_b)
-        fc.append((layer, w.reshape(1, 1, *w.shape), _bias_to_acc(b, f_b, f_x + f_w),
-                   f_x + f_w, f_out))
-        f_x = f_out
+    for layer in cfg.fc_layers:
+        conv, f_x = next_layer(f_x, "out", layer.relu)
+        fc.append(conv)
     rows, cols = x.shape[:2]
     iq = np.empty((rows, cols, 2), dtype=np.int16)
 
@@ -397,10 +415,8 @@ def infer_quantized(rf: RfVolume, cfg, bundle: WeightBundle,
                            f_caps, routing.num_out_capsules, routing.num_iterations,
                            f_logit=f_logit, f_pre=f_pre)
         y = requantize(v.astype(np.int64), f_pre, f_v).reshape(1, len(v), -1)
-        for layer, w, b_acc, acc_f, f_out in fc:
-            y = requantize(_int_conv(y, w) + b_acc, acc_f, f_out)
-            if layer.relu:
-                y = np.maximum(y, 0).astype(np.int16)
+        for conv in fc:
+            y = conv(y)
         iq[lo:hi] = y.reshape(hi - lo, cols, 2)
 
     capsnet.run_pixel_blocks(rows, cols, tail)

@@ -23,6 +23,7 @@ from capsbeam.accel_sim import (
     sim_conv_layer,
     sim_routing,
 )
+from capsbeam import capsnet
 from capsbeam.capsnet import CapsConfig, default_config, toy_config
 from capsbeam.data_model import PixelGrid, routing_flops_per_pixel
 from capsbeam.errors import BramOverflow, IndexOutOfRange, InvalidConfig, ShapeMismatch
@@ -111,7 +112,7 @@ def test_identity_kernel_passthrough_and_ledger():
     assert single_report.external_word_transactions == 4
 
 
-def test_sim_conv_matches_fixed_point_path():
+def test_sim_conv_matches_fixed_point_path(monkeypatch):
     rng = np.random.default_rng(12)
     x = rng.integers(-500, 500, size=(6, 7, 5)).astype(np.int16)
     w = rng.integers(-300, 300, size=(3, 3, 5, 4)).astype(np.int16)
@@ -126,6 +127,29 @@ def test_sim_conv_matches_fixed_point_path():
         if relu:
             expected = np.maximum(expected, 0).astype(np.int16)
         np.testing.assert_array_equal(got, expected)
+    # Chunked and threaded: a 5x3 kernel with an index list, one output row
+    # a conv chunk, on 1, 2 and 4 workers, against the whole-tensor
+    # reference computed before the chunking is forced.
+    x = rng.integers(-500, 500, size=(9, 7, 5)).astype(np.int16)
+    kept = 3
+    w = rng.integers(-300, 300, size=(5, 3, kept, 4)).astype(np.int16)
+    index = np.stack([np.sort(rng.choice(5, size=kept, replace=False))
+                      for _ in range(4)], axis=1).astype(np.int16)
+    dense = np.zeros((5, 3, 5, 4), dtype=np.int16)
+    for col in range(4):
+        dense[:, :, index[:, col], col] = w[:, :, :, col]
+    pre = requantize(_int_conv(x, dense) + _bias_to_acc(b, f_b, f_in + f_w), f_in + f_w, f_out)
+    assert pre.min() < 0 < pre.max()
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 1)
+    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+        for relu in (False, True):
+            spec = ConvLayerSpec(weight=w, bias=b, index=index, relu=relu,
+                                 f_in=f_in, f_w=f_w, f_b=f_b, f_out=f_out)
+            got, _ = sim_conv_layer(x, spec, AccelConfig())
+            expected = np.maximum(pre, 0) if relu else pre
+            assert got.tobytes() == expected.tobytes(), (threads, relu)
 
 
 def test_sim_conv_pruned_matches_densified():

@@ -19,7 +19,6 @@ from capsbeam.capsnet import (
     FcLayerCfg,
     RoutingCfg,
     RoutingState,
-    caps_conv_layer,
     conv2d,
     correlate,
     default_config,
@@ -249,19 +248,6 @@ def test_routing_softmax_uniform_on_zero_logits():
 
 
 # ---------------------------------------------------------------- layers
-
-
-def test_caps_conv_layer_is_conv_reshape_squash():
-    rng = np.random.default_rng(8)
-    layer = CapsConvLayerCfg(3, 3, 4, 6, num_capsules=2, capsule_dim=3)
-    values = rng.standard_normal((4, 5, 4))
-    w = rng.standard_normal((3, 3, 4, 6))
-    b = rng.standard_normal(6)
-    got = caps_conv_layer(values, layer, w, b)
-    pre = conv2d(values, w, b, relu=False)
-    expected = squash(pre.reshape(4, 5, 2, 3), axis=-1)
-    np.testing.assert_array_equal(got, expected)
-    assert got.shape == (4, 5, 2, 3)
 
 
 def test_caps_grouping_must_tile():

@@ -292,3 +292,14 @@ def test_prune_settings_check_themselves():
         parse_config_text("[prune]\nlookahead = -1\n")
     for method in ("magnitude", "lakp"):
         assert PruneSettings(method=method, lookahead=0).lookahead == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
+def test_noise_std_checked_at_load(value):
+    # Every command loads the config, so commands that never synthesise
+    # (beamform, infer, metrics, prune) reject it too.
+    with pytest.raises(InvalidConfig, match=re.escape("[phantom] noise_std")):
+        parse_config_text(f"[phantom]\nnoise_std = {value}\n")
+    with pytest.raises(InvalidConfig, match=re.escape("[phantom] noise_std")):
+        RunConfig(noise_std=float(value))
+    assert parse_config_text("[phantom]\nnoise_std = 0.5\n").noise_std == 0.5

@@ -24,11 +24,13 @@ from capsbeam.data_model import (
     write_tensor_file,
 )
 from capsbeam.errors import (
+    BadEncoding,
     BadMagic,
     DimOverflow,
     InvalidConfig,
     MissingWeight,
     NonFinite,
+    ToolError,
     TruncatedFile,
     UnknownDtype,
 )
@@ -171,6 +173,58 @@ def test_bundle_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(BadMagic):
         read_bundle_file(path)
+
+
+def _fuzz_bundle():
+    bundle = WeightBundle()
+    bundle.entries["conv0.weight"] = Tensor.from_array(
+        np.arange(12, dtype=np.float32).reshape(1, 1, 3, 4))
+    bundle.entries["conv0.bias"] = Tensor.from_array(np.asarray([-7, 300], dtype=np.int16),
+                                                     scale_exp=9)
+    bundle.metadata["init_seed"] = "9"
+    bundle.metadata["note"] = "μ-law"
+    return bundle
+
+
+def test_bundle_non_utf8_name_or_value_names_the_entry(tmp_path):
+    path = tmp_path / "w.cbwb"
+    write_bundle_file(_fuzz_bundle(), path)
+    blob = path.read_bytes()
+    name_at = 12 + 2  # header, then entry 0's name length
+    assert blob[name_at : name_at + 12] == b"conv0.weight"
+    path.write_bytes(blob[:name_at] + b"\xff" + blob[name_at + 1 :])
+    with pytest.raises(BadEncoding, match="entry 0 "):
+        read_bundle_file(path)
+    # Entry 3 is meta.note: name, 13-byte header, one u64 dim, then one
+    # fixed16 word per UTF-8 byte of the value.
+    value_at = blob.rindex(b"meta.note") + len(b"meta.note") + 13 + 8
+    assert blob[value_at : value_at + 2] == bytes([0xCE, 0x00])
+    path.write_bytes(blob[:value_at] + b"\xff" + blob[value_at + 1 :])
+    with pytest.raises(BadEncoding, match="entry 3 "):
+        read_bundle_file(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["cbtf", "cbwb"]), truncate=st.booleans(), data=st.data())
+def test_corrupt_files_parse_or_raise_tool_error(tmp_path_factory, kind, truncate, data):
+    # Truncation at any offset, or any single byte overwritten, either
+    # still parses or raises a ToolError: never a bare Python exception.
+    path = tmp_path_factory.mktemp("fuzz") / f"x.{kind}"
+    if kind == "cbtf":
+        write_tensor_file(_fuzz_bundle().entries["conv0.weight"], path)
+    else:
+        write_bundle_file(_fuzz_bundle(), path)
+    blob = path.read_bytes()
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    if truncate:
+        blob = blob[:at]
+    else:
+        blob = blob[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + blob[at + 1 :]
+    path.write_bytes(blob)
+    try:
+        (read_tensor_file if kind == "cbtf" else read_bundle_file)(path)
+    except ToolError:
+        pass
 
 
 # geometry ------------------------------------------------------------------------

@@ -162,6 +162,33 @@ def test_exp_taylor_exhaustive_monotone_nonnegative():
     assert np.all(np.diff(out) >= 0)
 
 
+def test_exp_taylor_equals_exact_integer_oracle():
+    # Exhaustive for f = 0..15 over every int16 input inside the clamp
+    # window: 24 * 2^3f * p(x) by Horner in Python ints (the f = 15
+    # constant term 24 * 2^60 overflows int64), divided by 24 * 2^3f with
+    # round half away from zero. Above 2^53 the float64 Horner sum in
+    # _exp_taylor5_raw is not exact, so this pins that it still agrees.
+    from capsbeam.quantized import INT16_MAX, INT16_MIN, _exp_taylor5_raw
+
+    assert TAYLOR_INPUT_LO * 32 == -51 and TAYLOR_INPUT_HI == 2.0
+    points = 0
+    for f in range(MAX_SCALE_EXP + 1):
+        one = 2**f
+        # -51/32 * 2^f rounded half away from zero, and 2 * 2^f, within int16.
+        lo = max(-((51 * one + 16) // 32), INT16_MIN)
+        hi = min(2 * one, INT16_MAX)
+        den = 24 * one**3
+        expected = []
+        for x in range(lo, hi + 1):
+            g = (((x + 4 * one) * x + 12 * one**2) * x + 24 * one**3) * x + 24 * one**4
+            q = (2 * abs(g) + den) // (2 * den)
+            expected.append(min(max(q if g >= 0 else -q, 0), INT16_MAX))
+        got = _exp_taylor5_raw(np.arange(lo, hi + 1), f)
+        np.testing.assert_array_equal(got, expected, err_msg=f"f={f}")
+        points += hi - lo + 1
+    assert points == 183_307
+
+
 def test_exp_taylor_tracks_reference_inside_domain():
     f = 12
     xs = np.linspace(-1.5, 2.0, 113)
