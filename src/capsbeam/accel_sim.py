@@ -333,6 +333,8 @@ def sim_routing(
 
     Runs the fixed-point routing (softmax, weighted sum, squash and
     agreement stages) on every pixel; output capsules are at scale f_pre.
+    The host replays _routing_fixed as it is, so it stops computing once
+    the coupling cannot change; the report bills every iteration.
     """
     caps = np.asarray(caps_raw)
     if caps.ndim != 3 or caps.dtype != np.int16:

@@ -6,7 +6,10 @@ ReLU, a capsule conv stack (conv, reshape to capsules, squash), per-pixel
 dynamic routing by agreement, then a chain of pointwise FC layers ending
 in 2 features. Routing predictions are the input capsules themselves
 broadcast over output capsules; there are no trained routing matrices, so
-in_dim must equal out_dim. Inference only; training is out of scope.
+in_dim must equal out_dim. Such predictions keep the coupling uniform, so
+dynamic_routing exits after the first iteration with the bytes of every
+iteration run; the accelerator ledger (accel_sim) still bills every
+iteration. Inference only; training is out of scope.
 
 Weight bundle naming: conv0.weight/conv0.bias, conv1.*, caps0.*, caps1.*,
 fc0.* .. fc3.*. Conv weights are [kh, kw, cin, cout] cross-correlation
@@ -356,6 +359,14 @@ def dynamic_routing(u_hat: np.ndarray, num_iterations: int,
     Logits start at zero. Each iteration: coupling = softmax over the
     output axis, weighted sum over inputs, squash. The logit update
     b += u_hat . v runs after every iteration except the last.
+
+    Early exit, exact: while every logit row of the call is finite and
+    constant over the output axis, its softmax is the zero logits'
+    uniform coupling bit for bit, so c, s, v and the update repeat the
+    first iteration's and only b is added again. Broadcast predictions
+    (infer's) keep the rows so on every input; a row that turns non-finite
+    or varies puts the call back on the full recipe from that iteration.
+    record still gets every iteration's state.
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     if u_hat.ndim < 3:
@@ -363,13 +374,17 @@ def dynamic_routing(u_hat: np.ndarray, num_iterations: int,
     if num_iterations < 1:
         raise InvalidConfig("need at least one routing iteration")
     b = np.zeros(u_hat.shape[:-1], dtype=np.float64)
-    v = None
+    uniform = False  # c, s, v and d hold the zero logits' iteration
     for it in range(num_iterations):
-        c = routing_softmax(b, axis=-1)
-        s = np.einsum("...ij,...ijd->...jd", c, u_hat)
-        v = squash(s, axis=-1)
+        if not (uniform and np.all(b == b[..., :1]) and np.all(np.isfinite(b[..., 0]))):
+            c = routing_softmax(b, axis=-1)
+            s = np.einsum("...ij,...ijd->...jd", c, u_hat)
+            v = squash(s, axis=-1)
+            if it < num_iterations - 1:
+                d = np.einsum("...ijd,...jd->...ij", u_hat, v)
+            uniform = it == 0
         if it < num_iterations - 1:
-            b = b + np.einsum("...ijd,...jd->...ij", u_hat, v)
+            b = b + d
         if record is not None:
             record.append(RoutingState(b.copy(), c, u_hat, v, s))
     return v
@@ -431,9 +446,10 @@ def infer(rf: RfVolume, cfg: CapsConfig, weights: WeightBundle,
     """Run the float network over a ToF-corrected volume.
 
     Conv rows and routing + fc pixel blocks run on CAPSBEAM_THREADS
-    workers; the output bytes do not depend on how many. trace, when
-    given, accumulates per-stage max absolute activations under the names
-    used by quantization calibration.
+    workers; the output bytes do not depend on how many. Each block's
+    routing computes one iteration and repeats it for the rest (see
+    dynamic_routing). trace, when given, accumulates per-stage max
+    absolute activations under the names used by quantization calibration.
     """
     cfg.validate_for_inference()
     if cfg.conv_layers[0].in_ch != rf.num_channels:

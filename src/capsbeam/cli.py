@@ -98,9 +98,12 @@ class _OutDir:
         return path
 
     def finish(self) -> None:
+        """Merge this run's lines into manifest.txt: a file written again
+        replaces its line in place, a new file's line is appended."""
         manifest = self.root / "manifest.txt"
-        existing = manifest.read_text() if manifest.exists() else ""
-        manifest.write_text(existing + "".join(line + "\n" for line in self.lines))
+        existing = manifest.read_text().splitlines() if manifest.exists() else []
+        by_name = {line.split("\t", 1)[0]: line for line in existing + self.lines}
+        manifest.write_text("".join(line + "\n" for line in by_name.values()))
 
 
 def _runconfig(args) -> RunConfig:

@@ -432,18 +432,29 @@ def _routing_fixed(caps_raw: np.ndarray, f_caps: int, n_out: int, iterations: in
     Returns output capsules at the pre-squash scale f_pre, shape
     [pixels, n_out, dim]. The logit update is skipped after the final
     iteration, matching the float path.
+
+    Early exit, exact, as in capsnet.dynamic_routing: while every saturated
+    logit row of the call is constant over the output axis, its softmax is
+    the zero logits' coupling, so the softmax, weighted sum, squash and
+    agreement stages repeat the first iteration's raws and only b is
+    updated. The input capsules as predictions keep the rows so on every
+    input. The modeled engine (accel_sim) still bills every iteration.
     """
     pixels, n_in, dim = caps_raw.shape
     u = caps_raw.astype(np.int64)
     b = np.zeros((pixels, n_in, n_out), dtype=np.int16)
     v = None
+    uniform = False  # v and delta hold the zero logits' iteration
     for it in range(iterations):
-        c = _softmax_rows(b, f_logit).astype(np.int64)
-        s_acc = np.einsum("pij,pid->pjd", c, u)
-        s = requantize(s_acc, f_logit + f_caps, f_pre)
-        v = _squash_rows(s, f_pre)
+        if not (uniform and np.all(b == b[..., :1])):
+            c = _softmax_rows(b, f_logit).astype(np.int64)
+            s_acc = np.einsum("pij,pid->pjd", c, u)
+            s = requantize(s_acc, f_logit + f_caps, f_pre)
+            v = _squash_rows(s, f_pre)
+            if it < iterations - 1:
+                agree = np.einsum("pid,pjd->pij", u, v.astype(np.int64))
+                delta = requantize(agree, f_caps + f_pre, f_logit)
+            uniform = it == 0
         if it < iterations - 1:
-            agree = np.einsum("pid,pjd->pij", u, v.astype(np.int64))
-            delta = requantize(agree, f_caps + f_pre, f_logit)
             b = saturate16(b.astype(np.int64) + delta).astype(np.int16)
     return v

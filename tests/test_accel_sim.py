@@ -280,12 +280,16 @@ def _routing_per_pixel(caps, n_out, iterations, f_caps, f_logit, f_pre):
 def test_sim_routing_matches_fixed_point_path():
     rng = np.random.default_rng(16)
     f_caps, f_logit, f_pre = 10, 12, 10
-    # n_in != n_out both ways, 1 and 3 iterations, and raws at the int16
-    # limits, where the logit update saturates.
+    # n_in != n_out both ways, 1 to 5 iterations, and raws at the int16
+    # limits, where the logit update saturates. The reference runs every
+    # iteration; _routing_fixed stops computing after the first.
     for pixels, n_in, n_out, dim, iterations, limit, saturates in (
         (12, 4, 2, 3, 3, 2000, False),
         (9, 2, 5, 4, 1, 2000, False),
         (7, 3, 3, 8, 3, 32767, True),
+        (10, 3, 4, 2, 2, 2000, False),
+        (8, 2, 3, 4, 4, 32767, True),
+        (6, 5, 2, 3, 5, 32767, True),
     ):
         caps = rng.integers(-limit, limit, size=(pixels, n_in, dim), endpoint=True)
         caps = caps.astype(np.int16)

@@ -206,6 +206,21 @@ def test_synth_deterministic_and_seed_override(tmp_path):
     assert (a / "manifest.txt").read_bytes() == (b / "manifest.txt").read_bytes()
 
 
+def test_rerun_into_same_dir_replaces_manifest_lines(tmp_path):
+    _run(["synth", "--config", DESK, "--out", str(tmp_path)])
+    first = (tmp_path / "manifest.txt").read_bytes()
+    _run(["synth", "--config", DESK, "--out", str(tmp_path)])
+    assert (tmp_path / "manifest.txt").read_bytes() == first
+    lines = first.decode().splitlines()
+    names = [line.split("\t")[0] for line in lines]
+    assert sorted(names) == sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.txt")
+    # Another seed rewrites every file: each line is replaced in place.
+    _run(["synth", "--config", DESK, "--seed", "99", "--out", str(tmp_path)])
+    reseeded = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert [line.split("\t")[0] for line in reseeded] == names
+    assert not set(reseeded) & set(lines)
+
+
 # ----------------------------------------------------------------- sim command
 
 

@@ -365,6 +365,35 @@ def test_infer_quantized_bytes_independent_of_threads_and_blocks(monkeypatch, to
         assert env.q_part.tobytes() == ref.q_part.tobytes(), threads
 
 
+def test_pipeline_routing_squashes_once_per_block(monkeypatch, toy_cfg, loud_toy_weights,
+                                                  wide_rf):
+    # infer's broadcast predictions keep every logit row constant, so both
+    # paths stop routing after the first of the toy net's 3 iterations: one
+    # routing squash ([pixels, n_out, dim]) per pixel block, beside the
+    # caps layers' squashes ([rows, cols, n_caps, dim]).
+    from capsbeam import quantized
+
+    qbundle = quantize_bundle(loud_toy_weights, calibrate(loud_toy_weights, [wide_rf], toy_cfg))
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # 7 blocks of 10 rows
+    monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+    assert toy_cfg.routing.num_iterations == 3
+    for module, name, run in (
+        (capsnet, "squash", lambda: infer(wide_rf, toy_cfg, loud_toy_weights)),
+        (quantized, "_squash_rows", lambda: infer_quantized(wide_rf, toy_cfg, qbundle)),
+    ):
+        squash_fn, ranks = getattr(module, name), []
+
+        def counted(s, *args, squash_fn=squash_fn, **kwargs):
+            ranks.append(np.ndim(s))
+            return squash_fn(s, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        run()
+        monkeypatch.setattr(module, name, squash_fn)
+        assert ranks.count(3) == 7, name
+        assert ranks.count(4) == len(toy_cfg.caps_conv_layers), name
+
+
 def test_calibrate_independent_of_threads(monkeypatch, toy_cfg, loud_toy_weights, wide_rf):
     # Workers trace their own blocks and the maxima are folded after they
     # finish. More workers than cores and a short switch interval give a
