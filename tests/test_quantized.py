@@ -6,6 +6,7 @@ exactly one at any scale; the degree-5 Taylor polynomial at +-1 is
 65/24 and 0.375; a unit vector squashes to length 1/2.
 """
 
+import hashlib
 import sys
 
 import numpy as np
@@ -538,3 +539,40 @@ def test_int_conv_rejects_inexact_tap_count_before_converting():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------- frozen network bytes
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_network_bytes_frozen(threads, monkeypatch, toy_cfg, loud_toy_weights, wide_rf):
+    # Float I/Q, the float trace, the calibrated plan and the fixed I/Q on
+    # many conv chunks and routing blocks; the digests were taken before
+    # the float and fixed paths shared one layer walk.
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**12)
+    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)
+    monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+    trace: dict = {}
+    env = infer(wide_rf, toy_cfg, loud_toy_weights, trace=trace)
+    plan = calibrate(loud_toy_weights, [wide_rf], toy_cfg)
+    fixed = infer_quantized(wide_rf, toy_cfg, quantize_bundle(loud_toy_weights, plan))
+    got = {
+        "infer": _digest(env.i_part.tobytes(), env.q_part.tobytes()),
+        "trace": _digest(sorted(trace.items())),
+        "plan": _digest(sorted(plan.scales.items())),
+        "infer_quantized": _digest(fixed.i_part.tobytes(), fixed.q_part.tobytes()),
+    }
+    assert got == {
+        "infer": "694f3601fa0e1206",
+        "trace": "60b582493f092344",
+        "plan": "8444e671b79140bd",
+        "infer_quantized": "1d116a1b825cbc61",
+    }
