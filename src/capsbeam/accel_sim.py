@@ -77,7 +77,6 @@ class LayerShape:
     cin: int
     cout: int
     cin_kept: int | None = None
-    cout_kept: int | None = None
 
     def __post_init__(self):
         if min(self.rows, self.cols) < 0 or min(self.kernel_h, self.kernel_w) < 1:
@@ -85,11 +84,9 @@ class LayerShape:
         if min(self.cin, self.cout) < 1:
             raise InvalidConfig("channel counts must be positive")
         kept_in = self.cin if self.cin_kept is None else self.cin_kept
-        kept_out = self.cout if self.cout_kept is None else self.cout_kept
-        if not (0 < kept_in <= self.cin and 0 < kept_out <= self.cout):
-            raise InvalidConfig("kept counts must lie in (0, full]")
+        if not 0 < kept_in <= self.cin:
+            raise InvalidConfig("cin_kept must lie in (0, cin]")
         object.__setattr__(self, "cin_kept", kept_in)
-        object.__setattr__(self, "cout_kept", kept_out)
 
 
 def count_transactions(layer: LayerShape, policy: str) -> int:
@@ -105,7 +102,7 @@ def count_transactions(layer: LayerShape, policy: str) -> int:
     if policy == "reload_per_block":
         weight_words = layer.rows * layer.kernel_h * layer.kernel_w * layer.cin * layer.cout
     else:
-        weight_words = layer.kernel_h * layer.kernel_w * layer.cin_kept * layer.cout_kept
+        weight_words = layer.kernel_h * layer.kernel_w * layer.cin_kept * layer.cout
     return weight_words + input_words
 
 
@@ -208,7 +205,7 @@ class ConvLayerSpec:
 
 
 def _conv_compute_cycles(shape: LayerShape, accel: AccelConfig) -> int:
-    blocks = -(-shape.cout_kept // accel.pe_rows)
+    blocks = -(-shape.cout // accel.pe_rows)
     col_passes = -(-shape.cols // accel.pe_cols)
     return (
         shape.rows * blocks * col_passes * shape.kernel_h * shape.kernel_w * shape.cin_kept
@@ -217,12 +214,12 @@ def _conv_compute_cycles(shape: LayerShape, accel: AccelConfig) -> int:
 
 def _layer_bram_bytes(shape: LayerShape, accel: AccelConfig, with_index: bool) -> int:
     wb = accel.word_bytes
-    weight_words = shape.kernel_h * shape.kernel_w * shape.cin_kept * shape.cout_kept
-    weight_words += shape.cout_kept  # bias
+    weight_words = shape.kernel_h * shape.kernel_w * shape.cin_kept * shape.cout
+    weight_words += shape.cout  # bias
     if with_index:
-        weight_words += shape.cin_kept * shape.cout_kept
+        weight_words += shape.cin_kept * shape.cout
     line_words = shape.kernel_h * shape.cols * shape.cin
-    out_words = shape.cols * shape.cout_kept
+    out_words = shape.cols * shape.cout
     return (weight_words + line_words + out_words) * wb
 
 
@@ -238,7 +235,7 @@ def _conv_report(name: str, shape: LayerShape, transactions: int, accel: AccelCo
         compute_cycles=compute,
         stall_cycles=max(0, need - compute),
         ops=2 * shape.rows * shape.cols * shape.kernel_h * shape.kernel_w
-        * shape.cin_kept * shape.cout_kept,
+        * shape.cin_kept * shape.cout,
         bram_bytes=_layer_bram_bytes(shape, accel, with_index),
     )
 
@@ -274,7 +271,7 @@ def sim_conv_layer(
     weight = spec.weight
     if spec.index is not None:
         weight = expand_index(weight, spec.index, cin, spec.name)
-    shape = LayerShape(rows, cols, kh, kw, cin, cout, cin_kept=kept, cout_kept=cout)
+    shape = LayerShape(rows, cols, kh, kw, cin, cout, cin_kept=kept)
     weight_words = kh * kw * kept * cout + cout + (kept * cout if spec.index is not None else 0)
     if policy == "reload_per_block":
         weight_stream = rows * weight_words

@@ -1,20 +1,22 @@
-"""Capsule-network beamformer: layer configs and the float inference path.
+"""Capsule-network beamformer: layer configs, the layer walk, float inference.
 
 The network maps time-of-flight corrected channel data [rows, cols, ch]
 to an in-phase / quadrature pair per pixel. Dataflow: a conv stack with
 ReLU, a capsule conv stack (conv, reshape to capsules, squash), per-pixel
 dynamic routing by agreement, then a chain of pointwise FC layers ending
-in 2 features. Routing predictions are the input capsules themselves
-broadcast over output capsules; there are no trained routing matrices, so
-in_dim must equal out_dim. Such predictions keep the coupling uniform, so
-dynamic_routing exits after the first iteration with the bytes of every
-iteration run; the accelerator ledger (accel_sim) still bills every
-iteration. Inference only; training is out of scope.
+in 2 features. walk states that order once; float infer and
+quantized.infer_quantized run it with their own arithmetic. Routing
+predictions are the input capsules themselves broadcast over output
+capsules; there are no trained routing matrices, so in_dim must equal
+out_dim. Such predictions keep the coupling uniform, so dynamic_routing
+exits after the first iteration with the bytes of every iteration run;
+the accelerator ledger (accel_sim) still bills every iteration.
+Inference only; training is out of scope.
 
 Weight bundle naming: conv0.weight/conv0.bias, conv1.*, caps0.*, caps1.*,
 fc0.* .. fc3.*. Conv weights are [kh, kw, cin, cout] cross-correlation
 kernels with zero padding (kh - 1) / 2 and stride 1; FC weights are
-[in, out] applied as x @ W + b. CapsConfig.weighted_layers() states this
+[in, out], run as 1x1 convs. CapsConfig.weighted_layers() states this
 layout, and layer_entries fetches one layer's checked entries.
 """
 
@@ -39,7 +41,7 @@ _IM2COL_BYTES = 2**22
 # more than a second worker saves, so a 4-row band runs inline.
 _MIN_WORKER_MACS = 2**26
 # Pixels per routing + fc block, rounded down to whole image rows (at least
-# one), so every fc matmul is one gemm per image row as on a whole frame:
+# one), so every fc conv is one gemm per image row as on a whole frame:
 # numpy's one-row product takes another BLAS kernel and other bytes.
 _PIXEL_BLOCK = 2048
 
@@ -434,74 +436,104 @@ def _trace(trace: dict | None, name: str, values: np.ndarray):
     if trace is not None:
         peak = float(np.max(np.abs(values))) if values.size else 0.0
         trace[name] = max(trace.get(name, 0.0), peak)
+    return values
 
 
-def run_pixel_blocks(rows: int, cols: int, fn) -> None:
-    """_run_blocks over image rows, _PIXEL_BLOCK pixels (at least one row) a block."""
-    _run_blocks(rows, max(1, _PIXEL_BLOCK // cols), fn)
+@dataclass(frozen=True)
+class _FloatArith:
+    """walk's float64 arithmetic: conv2d, squash, and dynamic_routing of the
+    input capsules broadcast over the outputs, its record traced."""
+
+    weights: WeightBundle
+
+    def enter(self, values, name):
+        return values
+
+    leave = enter
+
+    def conv(self, layer: WeightedLayer, src, dst, relu: bool):
+        w, b = (t.data.astype(np.float64) for t in layer_entries(self.weights, layer))
+        w = w.reshape(layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
+        return lambda x: conv2d(x, w, b, relu=relu)
+
+    def squash(self, s, src, dst):
+        return squash(s)
+
+    def route(self, caps, routing: RoutingCfg, names, trace):
+        record = None if trace is None else []
+        u_hat = np.broadcast_to(caps[:, :, None], (*caps.shape[:2], routing.num_out_capsules,
+                                                   caps.shape[2]))
+        v = dynamic_routing(u_hat, routing.num_iterations, record=record)
+        for state in record or ():
+            _trace(trace, names[1], state.logits_b)
+            _trace(trace, names[2], state.pre_squash_s)
+        return v
 
 
-def infer(rf: RfVolume, cfg: CapsConfig, weights: WeightBundle,
-          trace: dict | None = None) -> EnvelopeImage:
-    """Run the float network over a ToF-corrected volume.
+def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.ndarray:
+    """The network's one inference walk; returns I/Q [rows, cols, 2] as float.
 
-    Conv rows and routing + fc pixel blocks run on CAPSBEAM_THREADS
-    workers; the output bytes do not depend on how many. Each block's
-    routing computes one iteration and repeats it for the rest (see
-    dynamic_routing). trace, when given, accumulates per-stage max
-    absolute activations under the names used by quantization calibration.
+    Order: the channel check, conv layers, caps layers (conv, squash), then
+    routing and the fc layers (1x1 convs) on fixed pixel blocks of whole
+    rows over CAPSBEAM_THREADS workers. arith (_FloatArith,
+    quantized._FixedArith) does each stage's arithmetic, given the names of
+    the activations it reads and writes, which no other code states;
+    arith.conv fetches a layer's weights once and returns it as a function.
+    trace, when given, gets every name's max |activation| on every call;
+    blocks trace their own dicts, folded after the workers finish.
     """
     cfg.validate_for_inference()
     if cfg.conv_layers[0].in_ch != rf.num_channels:
         raise ShapeMismatch(
             f"network expects {cfg.conv_layers[0].in_ch} channels, volume has {rf.num_channels}"
         )
-    x = rf.samples
-    _trace(trace, "input", x)
     stored = iter(cfg.weighted_layers())  # bundle order: conv, caps, fc, as below
+    src = "input"
+    x = _trace(trace, src, arith.enter(rf.samples, src))
     for i, layer in enumerate(cfg.conv_layers):
-        w, b = (t.data.astype(np.float64) for t in layer_entries(weights, next(stored)))
-        x = conv2d(x, w, b, relu=layer.relu)
-        _trace(trace, f"conv{i}.out", x)
+        dst = f"conv{i}.out"
+        x, src = _trace(trace, dst, arith.conv(next(stored), src, dst, layer.relu)(x)), dst
     for i, layer in enumerate(cfg.caps_conv_layers):
-        w, b = (t.data.astype(np.float64) for t in layer_entries(weights, next(stored)))
-        pre = conv2d(x, w, b, relu=False)
-        _trace(trace, f"caps{i}.pre", pre)
-        rows, cols = pre.shape[:2]
-        caps = squash(pre.reshape(rows, cols, layer.num_capsules, layer.capsule_dim), axis=-1)
-        _trace(trace, f"caps{i}.out", caps)
-        x = caps.reshape(rows, cols, layer.out_ch)
+        pre, dst = f"caps{i}.pre", f"caps{i}.out"
+        y = _trace(trace, pre, arith.conv(next(stored), src, pre, relu=False)(x))
+        caps = arith.squash(y.reshape(*y.shape[:2], layer.num_capsules, -1), pre, dst)
+        x, src = _trace(trace, dst, caps).reshape(y.shape), dst
     routing = cfg.routing
-    n_in, n_out, dim = routing.num_in_capsules, routing.num_out_capsules, routing.out_dim
-    fc = [(layer, *(t.data.astype(np.float64) for t in layer_entries(weights, next(stored))))
-          for layer in cfg.fc_layers]
+    route_names = (src, "routing.logits", "routing.pre", "routing.out")
+    fc_names = [route_names[-1]] + [f"fc{i}.out" for i in range(len(cfg.fc_layers))]
+    fc = [(dst, arith.conv(next(stored), src, dst, layer.relu))
+          for src, dst, layer in zip(fc_names, fc_names[1:], cfg.fc_layers)]
     rows, cols = x.shape[:2]
     out = np.empty((rows, cols, 2))
     block_traces = []
 
-    def tail(lo, hi):
+    def block(lo, hi):
         local = None if trace is None else {}
-        record = None if trace is None else []
-        caps_in = x[lo:hi].reshape(-1, n_in, 1, dim)
-        u_hat = np.broadcast_to(caps_in, (len(caps_in), n_in, n_out, dim))
-        v = dynamic_routing(u_hat, routing.num_iterations, record=record)
-        for state in record or ():
-            _trace(local, "routing.logits", state.logits_b)
-            _trace(local, "routing.pre", state.pre_squash_s)
-        _trace(local, "routing.out", v)
-        y = v.reshape(hi - lo, cols, n_out * dim)
-        for i, (layer, w, b) in enumerate(fc):
-            y = y @ w + b
-            if layer.relu:
-                y = np.maximum(y, 0)
-            _trace(local, f"fc{i}.out", y)
-        out[lo:hi] = y
+        v = arith.route(x[lo:hi].reshape(-1, routing.num_in_capsules, routing.in_dim),
+                        routing, route_names, local)
+        y = _trace(local, route_names[-1], v).reshape(hi - lo, cols, -1)
+        for name, conv in fc:
+            y = _trace(local, name, conv(y))
+        out[lo:hi] = arith.leave(y, fc_names[-1])
         if local is not None:
             block_traces.append(local)
 
-    run_pixel_blocks(rows, cols, tail)
+    _run_blocks(rows, max(1, _PIXEL_BLOCK // cols), block)
     for local in block_traces:
         for name, peak in local.items():
             trace[name] = max(trace.get(name, 0.0), peak)
+    return out
+
+
+def infer(rf: RfVolume, cfg: CapsConfig, weights: WeightBundle,
+          trace: dict | None = None) -> EnvelopeImage:
+    """Run the float network (walk in float64) over a ToF-corrected volume.
+
+    The output bytes do not depend on CAPSBEAM_THREADS. Each block's
+    routing computes one iteration and repeats it for the rest (see
+    dynamic_routing). trace, when given, accumulates every stage's max
+    absolute activation under the names quantization calibration scales.
+    """
+    out = walk(rf, cfg, _FloatArith(weights), trace)
     return EnvelopeImage(grid=rf.grid, i_part=out[..., 0].astype(np.float32),
                          q_part=out[..., 1].astype(np.float32))

@@ -7,15 +7,17 @@ products and dot products accumulate exactly, the finished accumulator
 saturates to 32 bits, and every rescale is a power-of-two shift rounded
 half away from zero, saturating to int16.
 
-Every conv, capsule conv and fc layer (fc as a 1x1 conv) is one
-conv_fixed call, in infer_quantized and in the accel_sim replay alike. It
-accumulates through the float64 im2col matmul of capsnet.conv2d and, per
-row chunk of that conv, adds the bias at accumulator scale, requantizes
-and applies the ReLU, so no whole-frame accumulator is held. The float64
-sum is exact, not approximate: |int16 * int16| <= 2^30, so while a dot
-product has at most MAX_EXACT_TAPS = 2^23 taps every partial sum is an
-integer of magnitude <= 2^53, which float64 holds exactly in any
-summation order. Larger tap counts raise InvalidConfig.
+infer_quantized runs capsnet.walk, the float path's layer walk, with the
+fixed-point arithmetic of _FixedArith. Every conv, capsule conv and fc
+layer (fc as a 1x1 conv) is one conv_fixed call, in infer_quantized and
+in the accel_sim replay alike. It accumulates through the float64 im2col
+matmul of capsnet.conv2d and, per row chunk of that conv, adds the bias
+at accumulator scale, requantizes and applies the ReLU, so no whole-frame
+accumulator is held. The float64 sum is exact, not approximate:
+|int16 * int16| <= 2^30, so while a dot product has at most
+MAX_EXACT_TAPS = 2^23 taps every partial sum is an integer of magnitude
+<= 2^53, which float64 holds exactly in any summation order. Larger tap
+counts raise InvalidConfig.
 
 The softmax exponential is the 5-term Taylor polynomial
 1 + x + x^2/2 + x^3/6 + x^4/24 in Horner form. Its input is clamped to
@@ -226,19 +228,9 @@ def scale_for_max(m: float, max_exp: int = MAX_SCALE_EXP) -> int:
     return min(max_exp, 14 - ceil_log2)
 
 
-def activation_names(cfg) -> list[str]:
-    names = ["input"]
-    names += [f"conv{i}.out" for i in range(len(cfg.conv_layers))]
-    for i in range(len(cfg.caps_conv_layers)):
-        names += [f"caps{i}.pre", f"caps{i}.out"]
-    if cfg.routing is not None:
-        names += ["routing.logits", "routing.pre", "routing.out"]
-    names += [f"fc{i}.out" for i in range(len(cfg.fc_layers))]
-    return names
-
-
 def calibrate(bundle: WeightBundle, samples: list[RfVolume], cfg) -> QuantPlan:
-    """Derive fraction widths from weight maxima and traced activations."""
+    """Derive fraction widths from weight maxima and from the activation
+    maxima of the float walk's trace, which holds every activation name."""
     from .pruning import densify
 
     if not samples:
@@ -255,8 +247,8 @@ def calibrate(bundle: WeightBundle, samples: list[RfVolume], cfg) -> QuantPlan:
     trace: dict[str, float] = {}
     for rf in samples:
         capsnet.infer(rf, cfg, dense, trace=trace)
-    for name in activation_names(cfg):
-        plan.scales[name] = scale_for_max(trace.get(name, 0.0))
+    for name, peak in trace.items():
+        plan.scales[name] = scale_for_max(peak)
     return plan
 
 
@@ -354,75 +346,52 @@ def conv_fixed(x_raw: np.ndarray, w_raw: np.ndarray, b_raw: np.ndarray, f_in: in
                           out_dtype=np.int16)
 
 
+class _FixedArith:
+    """capsnet.walk's int16 arithmetic at the plan's scale of each name:
+    conv_fixed, and _squash_rows and _routing_fixed each requantized."""
+
+    def __init__(self, bundle: WeightBundle, plan: QuantPlan):
+        self.bundle, self.scale = bundle, plan.scale
+
+    def enter(self, values, name):
+        return quantize_array(values, self.scale(name))
+
+    def leave(self, raw, name):
+        return dequantize_array(raw, self.scale(name))
+
+    def conv(self, layer, src, dst, relu: bool):
+        f_w, f_b = self.scale(f"{layer.name}.weight"), self.scale(f"{layer.name}.bias")
+        w_entry, b_entry = capsnet.layer_entries(self.bundle, layer)
+        w = _entry_raw(w_entry, f_w).reshape(
+            layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
+        return partial(conv_fixed, w_raw=w, b_raw=_entry_raw(b_entry, f_b), f_in=self.scale(src),
+                       f_w=f_w, f_b=f_b, f_out=self.scale(dst), relu=relu)
+
+    def squash(self, s, src, dst):
+        f_pre = self.scale(src)
+        return requantize(_squash_rows(s, f_pre), f_pre, self.scale(dst))
+
+    def route(self, caps, routing, names, trace):
+        f_caps, f_logit, f_pre, f_out = map(self.scale, names)
+        v = _routing_fixed(caps, f_caps, routing.num_out_capsules, routing.num_iterations,
+                           f_logit=f_logit, f_pre=f_pre)
+        return requantize(v, f_pre, f_out)
+
+
 def infer_quantized(rf: RfVolume, cfg, bundle: WeightBundle,
                     plan: QuantPlan | None = None) -> EnvelopeImage:
-    """Integer replica of the float network; output dequantized to float.
+    """Integer replica of the float network: capsnet.walk with the
+    fixed-point backend; output dequantized to float.
 
     Accepts float bundles (quantized on the fly against the plan) or
     already-quantized fixed16 bundles. Compacted pruned layers must be
     densified by the caller beforehand.
     """
-    cfg.validate_for_inference()
     if plan is None:
         plan = plan_from_bundle(bundle)
-    if cfg.conv_layers[0].in_ch != rf.num_channels:
-        raise ShapeMismatch(
-            f"network expects {cfg.conv_layers[0].in_ch} channels, volume has {rf.num_channels}"
-        )
-    f_x = plan.scale("input")
-    x = quantize_array(rf.samples, f_x)
-    stored = iter(cfg.weighted_layers())  # bundle order: conv, caps, fc, as below
-
-    def next_layer(f_in: int, out: str, relu: bool):
-        """The next stored layer as conv_fixed from scale f_in to the scale
-        of its activation `out` (fc weights as 1x1 kernels), and that scale."""
-        layer = next(stored)
-        f_w, f_b = plan.scale(f"{layer.name}.weight"), plan.scale(f"{layer.name}.bias")
-        f_out = plan.scale(f"{layer.name}.{out}")
-        w_entry, b_entry = capsnet.layer_entries(bundle, layer)
-        w = _entry_raw(w_entry, f_w).reshape(
-            layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
-        return partial(conv_fixed, w_raw=w, b_raw=_entry_raw(b_entry, f_b), f_in=f_in,
-                       f_w=f_w, f_b=f_b, f_out=f_out, relu=relu), f_out
-
-    for layer in cfg.conv_layers:
-        conv, f_x = next_layer(f_x, "out", layer.relu)
-        x = conv(x)
-    for i, layer in enumerate(cfg.caps_conv_layers):
-        conv, f_pre = next_layer(f_x, "pre", relu=False)
-        f_out = plan.scale(f"caps{i}.out")
-        pre = conv(x)
-        rows, cols = pre.shape[:2]
-        v = _squash_rows(pre.reshape(rows, cols, layer.num_capsules, layer.capsule_dim), f_pre)
-        caps = requantize(v.astype(np.int64), f_pre, f_out)
-        x, f_x = caps.reshape(rows, cols, layer.out_ch), f_out
-    f_caps = f_x
-    routing = cfg.routing
-    f_logit, f_pre = plan.scale("routing.logits"), plan.scale("routing.pre")
-    f_v = f_x = plan.scale("routing.out")
-    fc = []
-    for layer in cfg.fc_layers:
-        conv, f_x = next_layer(f_x, "out", layer.relu)
-        fc.append(conv)
-    rows, cols = x.shape[:2]
-    iq = np.empty((rows, cols, 2), dtype=np.int16)
-
-    def tail(lo, hi):
-        # Image rows lo..hi, exact integer arithmetic per pixel. The fc
-        # layers run as 1x1 convs over a one-row image of the block's
-        # pixels, which conv2d runs inline inside this worker.
-        v = _routing_fixed(x[lo:hi].reshape(-1, routing.num_in_capsules, routing.in_dim),
-                           f_caps, routing.num_out_capsules, routing.num_iterations,
-                           f_logit=f_logit, f_pre=f_pre)
-        y = requantize(v.astype(np.int64), f_pre, f_v).reshape(1, len(v), -1)
-        for conv in fc:
-            y = conv(y)
-        iq[lo:hi] = y.reshape(hi - lo, cols, 2)
-
-    capsnet.run_pixel_blocks(rows, cols, tail)
-    i_part = dequantize_array(iq[..., 0], f_x).astype(np.float32)
-    q_part = dequantize_array(iq[..., 1], f_x).astype(np.float32)
-    return EnvelopeImage(grid=rf.grid, i_part=i_part, q_part=q_part)
+    out = capsnet.walk(rf, cfg, _FixedArith(bundle, plan))
+    return EnvelopeImage(grid=rf.grid, i_part=out[..., 0].astype(np.float32),
+                         q_part=out[..., 1].astype(np.float32))
 
 
 def _routing_fixed(caps_raw: np.ndarray, f_caps: int, n_out: int, iterations: int,

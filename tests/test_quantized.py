@@ -7,6 +7,7 @@ exactly one at any scale; the degree-5 Taylor polynomial at +-1 is
 """
 
 import hashlib
+import re
 import sys
 
 import numpy as np
@@ -30,6 +31,7 @@ from capsbeam.quantized import (
     TAYLOR_INPUT_HI,
     TAYLOR_INPUT_LO,
     FixedPoint16,
+    QuantPlan,
     _int_conv,
     calibrate,
     dequantize_array,
@@ -474,6 +476,25 @@ def _with_entry(bundle, name, data):
     out = bundle.copy()
     out.entries[name] = Tensor.from_array(data)
     return out
+
+
+TOY_ACTIVATIONS = [
+    "input", "conv0.out", "conv1.out", "caps0.pre", "caps0.out", "caps1.pre", "caps1.out",
+    "routing.logits", "routing.pre", "routing.out", "fc0.out", "fc1.out", "fc2.out", "fc3.out",
+]
+
+
+@pytest.mark.parametrize("name", TOY_ACTIVATIONS)
+def test_every_activation_name_is_walked(name, toy_cfg, toy_weights, toy_rf, toy_plan):
+    # Only the layer walk states the activation names: the float trace
+    # holds exactly the plan's, and the fixed path looks up every one.
+    trace: dict = {}
+    infer(toy_rf, toy_cfg, toy_weights, trace=trace)
+    weights = {f"{layer}.{kind}" for layer in toy_cfg.layer_names() for kind in ("weight", "bias")}
+    assert set(trace) == set(toy_plan.scales) - weights == set(TOY_ACTIVATIONS)
+    plan = QuantPlan({k: f for k, f in toy_plan.scales.items() if k != name})
+    with pytest.raises(MissingScale, match=re.escape(repr(name))):
+        infer_quantized(toy_rf, toy_cfg, toy_weights, plan=plan)
 
 
 @pytest.mark.parametrize("path", ["infer", "infer_quantized"])
