@@ -8,6 +8,8 @@ every row block, 6,176,768 when they stay resident.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsbeam.accel_sim import (
     POLICIES,
@@ -301,6 +303,29 @@ def test_sim_routing_matches_fixed_point_path():
         assert saturated == saturates
         assert report.per_layer[0].transactions == pixels * (n_in + n_out) * dim
         assert report.per_layer[0].stall_cycles == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pixels=st.integers(0, 8), n_in=st.integers(1, 9), n_out=st.integers(1, 9),
+    dim=st.integers(1, 9), iterations=st.integers(1, 6),
+    f_caps=st.integers(0, 15), f_logit=st.integers(0, 15), f_pre=st.integers(0, 15),
+    limit=st.integers(0, 32767), seed=st.integers(0, 2**32 - 1),
+)
+def test_sim_routing_matches_reference_at_any_scale(pixels, n_in, n_out, dim, iterations,
+                                                    f_caps, f_logit, f_pre, limit, seed):
+    # Any scale, including f_logit = 15 with n_out = 1, where the zero
+    # logits' coupling saturates at 32767, and raws at the int16 limits.
+    rng = np.random.default_rng(seed)
+    caps = rng.integers(-limit, limit, size=(pixels, n_in, dim), endpoint=True)
+    caps = caps.astype(np.int16)
+    got, report = sim_routing(caps, AccelConfig(), n_out=n_out, iterations=iterations,
+                              f_caps=f_caps, f_logit=f_logit, f_pre=f_pre)
+    expected, _ = _routing_per_pixel(caps, n_out, iterations, f_caps, f_logit, f_pre)
+    assert got.dtype == np.int16
+    assert got.tobytes() == expected.tobytes()
+    assert report.cycle_count == pixels * routing_cycles_per_pixel(
+        max(n_in, n_out), dim, iterations)
 
 
 def test_routing_cycles_affine_formula():
