@@ -2,8 +2,9 @@
 """Sweep the accelerator model over weight policies and prune ratios.
 
 Prints a table of external transactions, cycles, modeled latency, and
-modeled GOPS for the default network, and the per-layer breakdown of the
-two headline operating points (non-optimized vs pruned + resident).
+modeled GOPS for the network, and the per-layer breakdown of the two
+headline operating points (non-optimized vs pruned at the config's
+[prune] ratio + resident).
 
     python scripts/design_space.py
     python scripts/design_space.py --config configs/desk.ini
@@ -11,23 +12,18 @@ two headline operating points (non-optimized vs pruned + resident).
 
 import argparse
 
-from capsbeam.accel_sim import AccelConfig, estimate_latency
-from capsbeam.capsnet import default_config
-from capsbeam.config import load_config
-from capsbeam.data_model import PixelGrid
+from capsbeam.accel_sim import estimate_latency
+from capsbeam.config import RunConfig, load_config
 
 RATIOS = (0.0, 0.5, 0.7, 0.85)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--config", help="INI config; defaults to the full-size network")
+    ap.add_argument("--config", help="INI config; defaults to the full-size network, ratio 0.85")
     args = ap.parse_args()
-    if args.config:
-        run = load_config(args.config)
-        cfg, grid, accel = run.capsnet, run.grid, run.accel
-    else:
-        cfg, grid, accel = default_config(), PixelGrid(), AccelConfig()
+    run = load_config(args.config) if args.config else RunConfig()
+    cfg, grid, accel = run.capsnet, run.grid, run.accel
 
     print(f"{'policy':<18} {'ratio':>6} {'transactions':>14} {'cycles':>14} "
           f"{'latency_s':>10} {'gops':>8}")
@@ -42,9 +38,9 @@ def main() -> None:
     for label, rep in (
         ("non-optimized (reload, unpruned)",
          estimate_latency(cfg, grid, accel, pruned=False, policy="reload_per_block")),
-        ("optimized (resident, pruned 0.85)",
+        (f"optimized (resident, pruned {run.prune.ratio:g})",
          estimate_latency(cfg, grid, accel, pruned=True, policy="weights_resident",
-                          prune_ratio=0.85)),
+                          prune_ratio=run.prune.ratio)),
     ):
         print(f"\n{label}:")
         print(rep.to_csv(), end="")

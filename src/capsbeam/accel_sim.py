@@ -304,9 +304,10 @@ def _routing_ops_per_pixel(n_in: int, n_out: int, dim: int, iterations: int) -> 
     return routing_flops_per_pixel(routing) + 2 * n_in * n_out * dim
 
 
-def _routing_report(pixels: int, n_in: int, n_out: int, dim: int, iterations: int,
-                    accel: AccelConfig) -> LayerReport:
+def _routing_report(pixels: int, routing: RoutingCfg, accel: AccelConfig) -> LayerReport:
     """Routing engine ledger row: capsules in and out once per pixel, no stall."""
+    n_in, n_out = routing.num_in_capsules, routing.num_out_capsules
+    dim, iterations = routing.out_dim, routing.num_iterations
     return LayerReport(
         name="routing",
         transactions=pixels * (n_in + n_out) * dim,
@@ -328,23 +329,20 @@ def sim_routing(
 ) -> tuple[np.ndarray, SimReport]:
     """Routing engine pass over a capsule stream [pixels, n_caps, dim].
 
-    Runs the fixed-point routing (softmax, weighted sum, squash and
-    agreement stages) on every pixel; output capsules are at scale f_pre.
-    The host replays _routing_fixed as it is, so it stops computing once
-    the coupling cannot change; the report bills every iteration.
+    Replays _routing_fixed as it is, one pass; output capsules are at
+    scale f_pre. The report bills every iteration (softmax, weighted sum,
+    squash and agreement stages). The routing shape must pass
+    RoutingCfg.validate; zero pixels bill nothing.
     """
     caps = np.asarray(caps_raw)
     if caps.ndim != 3 or caps.dtype != np.int16:
         raise ShapeMismatch("capsule stream must be int16 [pixels, n_caps, dim]")
     pixels, n_in, dim = caps.shape
-    if iterations < 1:
-        raise InvalidConfig("need at least one routing iteration")
-    if n_out < 1:
-        raise InvalidConfig("need at least one output capsule")
-    out = _routing_fixed(caps, f_caps, n_out, iterations, f_logit=f_logit, f_pre=f_pre)
-    report = SimReport(clock_hz=accel.clock_hz,
-                       per_layer=[_routing_report(pixels, n_in, n_out, dim, iterations, accel)])
-    return out, report
+    routing = RoutingCfg(n_in, dim, n_out, dim, iterations)
+    routing.validate()
+    out = _routing_fixed(caps, f_caps, n_out, f_logit=f_logit, f_pre=f_pre)
+    return out, SimReport(clock_hz=accel.clock_hz,
+                          per_layer=[_routing_report(pixels, routing, accel)])
 
 
 def layer_shapes(cfg, grid: PixelGrid, pruned: bool = False,
@@ -380,9 +378,5 @@ def estimate_latency(cfg, grid: PixelGrid, accel: AccelConfig, pruned: bool = Fa
             name, shape, count_transactions(shape, policy), accel, pruned and layer.prunable
         ))
     if cfg.routing is not None:
-        r = cfg.routing
-        report.per_layer.append(
-            _routing_report(grid.num_pixels, r.num_in_capsules, r.num_out_capsules,
-                            r.out_dim, r.num_iterations, accel)
-        )
+        report.per_layer.append(_routing_report(grid.num_pixels, cfg.routing, accel))
     return report

@@ -190,9 +190,7 @@ def _squash_rows(raw, f: int) -> np.ndarray:
     norm = _isqrt_exact(n2)
     num = s * n2 << f
     den = ((np.int64(1) << (2 * f)) + n2) * np.maximum(norm, 1)
-    v = _divide_round_half_away(num, den)
-    v = np.where(n2 > 0, v, 0)
-    return saturate16(v).astype(np.int16)
+    return saturate16(_divide_round_half_away(num, den)).astype(np.int16)
 
 
 def fixed_squash(s: list[FixedPoint16]) -> list[FixedPoint16]:
@@ -373,8 +371,7 @@ class _FixedArith:
 
     def route(self, caps, routing, names, trace):
         f_caps, f_logit, f_pre, f_out = map(self.scale, names)
-        v = _routing_fixed(caps, f_caps, routing.num_out_capsules, routing.num_iterations,
-                           f_logit=f_logit, f_pre=f_pre)
+        v = _routing_fixed(caps, f_caps, routing.num_out_capsules, f_logit=f_logit, f_pre=f_pre)
         return requantize(v, f_pre, f_out)
 
 
@@ -394,36 +391,20 @@ def infer_quantized(rf: RfVolume, cfg, bundle: WeightBundle,
                          q_part=out[..., 1].astype(np.float32))
 
 
-def _routing_fixed(caps_raw: np.ndarray, f_caps: int, n_out: int, iterations: int,
-                   f_logit: int, f_pre: int) -> np.ndarray:
-    """Batched fixed-point routing; predictions are the input capsules.
+def _routing_fixed(caps_raw: np.ndarray, f_caps: int, n_out: int, f_logit: int,
+                   f_pre: int) -> np.ndarray:
+    """Batched fixed-point routing with the input capsules as predictions.
 
     Returns output capsules at the pre-squash scale f_pre, shape
-    [pixels, n_out, dim]. The logit update is skipped after the final
-    iteration, matching the float path.
-
-    Early exit, exact, as in capsnet.dynamic_routing: while every saturated
-    logit row of the call is constant over the output axis, its softmax is
-    the zero logits' coupling, so the softmax, weighted sum, squash and
-    agreement stages repeat the first iteration's raws and only b is
-    updated. The input capsules as predictions keep the rows so on every
-    input. The modeled engine (accel_sim) still bills every iteration.
+    [pixels, n_out, dim]. One pass gives the result of any iteration
+    count, since the predictions are the input capsules:
+    - every output capsule v_j gets the same sum;
+    - so every agreement row, and every logit row after it, saturated or
+      not, is constant over the output axis;
+    - so every iteration's softmax equals the zero logits' coupling c0.
+    The modeled engine (accel_sim) still bills every iteration.
     """
-    pixels, n_in, dim = caps_raw.shape
-    u = caps_raw.astype(np.int64)
-    b = np.zeros((pixels, n_in, n_out), dtype=np.int16)
-    v = None
-    uniform = False  # v and delta hold the zero logits' iteration
-    for it in range(iterations):
-        if not (uniform and np.all(b == b[..., :1])):
-            c = _softmax_rows(b, f_logit).astype(np.int64)
-            s_acc = np.einsum("pij,pid->pjd", c, u)
-            s = requantize(s_acc, f_logit + f_caps, f_pre)
-            v = _squash_rows(s, f_pre)
-            if it < iterations - 1:
-                agree = np.einsum("pid,pjd->pij", u, v.astype(np.int64))
-                delta = requantize(agree, f_caps + f_pre, f_logit)
-            uniform = it == 0
-        if it < iterations - 1:
-            b = saturate16(b.astype(np.int64) + delta).astype(np.int16)
-    return v
+    pixels, _, dim = caps_raw.shape
+    c0 = int(_softmax_rows(np.zeros((1, n_out), dtype=np.int16), f_logit)[0, 0])
+    s = requantize(c0 * caps_raw.astype(np.int64).sum(axis=1), f_logit + f_caps, f_pre)
+    return _squash_rows(np.broadcast_to(s[:, None], (pixels, n_out, dim)), f_pre)

@@ -359,6 +359,20 @@ def test_sim_routing_validation():
                     f_caps=10, f_logit=12, f_pre=10)
 
 
+def test_sim_routing_needs_capsules_and_dims_not_pixels():
+    # Zero input capsules or zero dims route nothing and bill nothing; a
+    # stream of zero pixels is valid and bills 0.
+    for shape in ((4, 0, 3), (4, 2, 0), (0, 0, 3)):
+        with pytest.raises(InvalidConfig, match="routing dims must be positive"):
+            sim_routing(np.zeros(shape, dtype=np.int16), AccelConfig(), 2, 3,
+                        f_caps=10, f_logit=12, f_pre=10)
+    out, report = sim_routing(np.zeros((0, 2, 3), dtype=np.int16), AccelConfig(), 4, 3,
+                              f_caps=10, f_logit=12, f_pre=10)
+    assert out.shape == (0, 4, 3) and out.dtype == np.int16
+    row = report.per_layer[0]
+    assert (row.transactions, row.cycles, row.ops) == (0, 0, 0)
+
+
 # ------------------------------------------------------------ reports
 
 
