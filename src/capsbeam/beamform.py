@@ -14,6 +14,7 @@ down the rows, and log compression maps magnitudes to a clamped dB scale.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .errors import (
 )
 
 THREADS_ENV_VAR = "CAPSBEAM_THREADS"
+_WORKER_PREFIX = "capsbeam-worker"
 
 
 def thread_budget() -> int:
@@ -52,12 +54,15 @@ def thread_budget() -> int:
 def run_ranges(n: int, fn, grain: int = 1) -> None:
     """Call fn(lo, hi) on contiguous ranges splitting [0, n), one per each of
     min(thread_budget(), n // grain) threads, so each thread gets at least grain
-    items; one range runs inline. Worker errors propagate."""
-    workers = min(thread_budget(), n // grain)
+    items; one range runs inline, as does every call made from inside a
+    run_ranges worker, so nested splits never start a second pool. Worker
+    errors propagate."""
+    nested = threading.current_thread().name.startswith(_WORKER_PREFIX)
+    workers = 1 if nested else min(thread_budget(), n // grain)
     if workers <= 1:
         return fn(0, n)
     bounds = [n * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix=_WORKER_PREFIX) as pool:
         list(pool.map(fn, bounds[:-1], bounds[1:]))
 
 

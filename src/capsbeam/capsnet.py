@@ -5,7 +5,14 @@ to an in-phase / quadrature pair per pixel. Dataflow: a conv stack with
 ReLU, a capsule conv stack (conv, reshape to capsules, squash), per-pixel
 dynamic routing by agreement, then a chain of pointwise FC layers ending
 in 2 features. walk states that order once; float infer and
-quantized.infer_quantized run it with their own arithmetic. Routing
+quantized.infer_quantized run it with their own arithmetic. walk streams
+the frame in fixed bands of output rows, as the accelerator streams
+kernel-height rows through each layer (the fused-layer dataflow): each
+band runs every layer, routing and fc on its own rows plus the
+receptive-field halo, and no layer is ever held for the whole frame. The
+bytes are the layer-by-layer order's, because conv2d is one gemm per
+image row however the rows are split, squash, routing and fc are per
+pixel, and quantization is elementwise. Routing
 predictions are the input capsules themselves broadcast over output
 capsules; there are no trained routing matrices, so in_dim must equal
 out_dim. Such predictions keep the coupling uniform, so dynamic_routing
@@ -44,6 +51,9 @@ _MIN_WORKER_MACS = 2**26
 # one), so every fc conv is one gemm per image row as on a whole frame:
 # numpy's one-row product takes another BLAS kernel and other bytes.
 _PIXEL_BLOCK = 2048
+# Pixel blocks per band of walk (48 rows at default.ini). A band recomputes
+# its halo rows, so a taller band wastes less; a shorter one holds less.
+_BAND_BLOCKS = 3
 
 
 @dataclass(frozen=True)
@@ -278,8 +288,11 @@ def correlate(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     padded [rows + kh - 1, cols + kw - 1, cin] already carries any border;
     weights [kh, kw, cin, cout]. Returns [rows, cols, cout]. The im2col copy
     spans every row, so callers hand it slabs of at most _chunk_rows rows.
+    A 1x1 kernel's patch matrix is the slab itself, so it is multiplied as is.
     """
     kh, kw, cin, cout = weights.shape
+    if kh == kw == 1:
+        return padded @ weights.reshape(cin, cout)
     rows, cols = padded.shape[0] - kh + 1, padded.shape[1] - kw + 1
     window = sliding_window_view(padded, (kh, kw), axis=(0, 1))
     # window: [rows, cols, cin, kh, kw] -> [rows, cols, kh, kw, cin]
@@ -473,14 +486,22 @@ class _FloatArith:
 def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.ndarray:
     """The network's one inference walk; returns I/Q [rows, cols, 2] as float.
 
-    Order: the channel check, conv layers, caps layers (conv, squash), then
-    routing and the fc layers (1x1 convs) on fixed pixel blocks of whole
-    rows over CAPSBEAM_THREADS workers. arith (_FloatArith,
+    The frame runs in fixed bands of _BAND_BLOCKS pixel blocks (whole rows),
+    the bands split over CAPSBEAM_THREADS workers. Each band, in order:
+    - enters (quantizes) its own rows plus the receptive-field halo;
+    - runs the conv layers, then the caps layers (conv, squash), after
+      each conv dropping the kh // 2 rows next to a band edge that is not
+      a frame edge, which saw zeros in place of the rows beyond it;
+    - runs routing and the fc layers (1x1 convs) on each of its pixel
+      blocks and writes its rows of the output.
+    A kept row has the bytes of the layer-by-layer order's row: conv2d is
+    one gemm per image row however the rows are split, squash, routing and
+    fc are per pixel, and enter is elementwise. arith (_FloatArith,
     quantized._FixedArith) does each stage's arithmetic, given the names of
     the activations it reads and writes, which no other code states;
     arith.conv fetches a layer's weights once and returns it as a function.
-    trace, when given, gets every name's max |activation| on every call;
-    blocks trace their own dicts, folded after the workers finish.
+    trace, when given, gets every name's max |activation| over the kept
+    rows; bands trace their own dicts, folded after the workers finish.
     """
     cfg.validate_for_inference()
     if cfg.conv_layers[0].in_ch != rf.num_channels:
@@ -488,38 +509,54 @@ def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.
             f"network expects {cfg.conv_layers[0].in_ch} channels, volume has {rf.num_channels}"
         )
     stored = iter(cfg.weighted_layers())  # bundle order: conv, caps, fc, as below
+    stages = []  # (kernel height, conv output name, conv, (capsules, squash name) or None)
     src = "input"
-    x = _trace(trace, src, arith.enter(rf.samples, src))
     for i, layer in enumerate(cfg.conv_layers):
         dst = f"conv{i}.out"
-        x, src = _trace(trace, dst, arith.conv(next(stored), src, dst, layer.relu)(x)), dst
+        stages.append((layer.kernel_h, dst, arith.conv(next(stored), src, dst, layer.relu), None))
+        src = dst
     for i, layer in enumerate(cfg.caps_conv_layers):
         pre, dst = f"caps{i}.pre", f"caps{i}.out"
-        y = _trace(trace, pre, arith.conv(next(stored), src, pre, relu=False)(x))
-        caps = arith.squash(y.reshape(*y.shape[:2], layer.num_capsules, -1), pre, dst)
-        x, src = _trace(trace, dst, caps).reshape(y.shape), dst
+        stages.append((layer.kernel_h, pre, arith.conv(next(stored), src, pre, relu=False),
+                       (layer.num_capsules, dst)))
+        src = dst
     routing = cfg.routing
     route_names = (src, "routing.logits", "routing.pre", "routing.out")
     fc_names = [route_names[-1]] + [f"fc{i}.out" for i in range(len(cfg.fc_layers))]
     fc = [(dst, arith.conv(next(stored), src, dst, layer.relu))
           for src, dst, layer in zip(fc_names, fc_names[1:], cfg.fc_layers)]
-    rows, cols = x.shape[:2]
+    rows, cols = rf.samples.shape[:2]
+    block = max(1, _PIXEL_BLOCK // cols)
     out = np.empty((rows, cols, 2))
-    block_traces = []
+    band_traces = []
 
-    def block(lo, hi):
+    def band(lo, hi):
         local = None if trace is None else {}
-        v = arith.route(x[lo:hi].reshape(-1, routing.num_in_capsules, routing.in_dim),
-                        routing, route_names, local)
-        y = _trace(local, route_names[-1], v).reshape(hi - lo, cols, -1)
-        for name, conv in fc:
-            y = _trace(local, name, conv(y))
-        out[lo:hi] = arith.leave(y, fc_names[-1])
+        halo = sum(kh // 2 for kh, *_ in stages)
+        top = max(lo - halo, 0)
+        x = _trace(local, "input", arith.enter(rf.samples[top : hi + halo], "input"))
+        for kh, name, conv, capsules in stages:
+            halo -= kh // 2
+            keep = max(lo - halo, 0)
+            y = _trace(local, name, conv(x)[keep - top : hi + halo - top])
+            if capsules is not None:
+                num_capsules, dst = capsules
+                v = arith.squash(y.reshape(*y.shape[:2], num_capsules, -1), name, dst)
+                y = _trace(local, dst, v).reshape(y.shape)
+            x, top = y, keep
+        for b in range(0, hi - lo, block):
+            caps = x[b : b + block]
+            v = arith.route(caps.reshape(-1, routing.num_in_capsules, routing.in_dim),
+                            routing, route_names, local)
+            y = _trace(local, route_names[-1], v).reshape(*caps.shape[:2], -1)
+            for name, conv in fc:
+                y = _trace(local, name, conv(y))
+            out[lo + b : lo + b + len(caps)] = arith.leave(y, fc_names[-1])
         if local is not None:
-            block_traces.append(local)
+            band_traces.append(local)
 
-    _run_blocks(rows, max(1, _PIXEL_BLOCK // cols), block)
-    for local in block_traces:
+    _run_blocks(rows, block * _BAND_BLOCKS, band)
+    for local in band_traces:
         for name, peak in local.items():
             trace[name] = max(trace.get(name, 0.0), peak)
     return out

@@ -8,7 +8,9 @@ saturates to 32 bits, and every rescale is a power-of-two shift rounded
 half away from zero, saturating to int16.
 
 infer_quantized runs capsnet.walk, the float path's layer walk, with the
-fixed-point arithmetic of _FixedArith. Every conv, capsule conv and fc
+fixed-point arithmetic of _FixedArith, one band of rows at a time: each
+band quantizes its own input rows, so no layer and no caps squash holds
+the whole frame. Every conv, capsule conv and fc
 layer (fc as a 1x1 conv) is one conv_fixed call, in infer_quantized and
 in the accel_sim replay alike. It accumulates through the float64 im2col
 matmul of capsnet.conv2d and, per row chunk of that conv, adds the bias
@@ -402,9 +404,9 @@ def _routing_fixed(caps_raw: np.ndarray, f_caps: int, n_out: int, f_logit: int,
     - so every agreement row, and every logit row after it, saturated or
       not, is constant over the output axis;
     - so every iteration's softmax equals the zero logits' coupling c0.
-    The modeled engine (accel_sim) still bills every iteration.
+    The identical output capsules are squashed once and repeated. The
+    modeled engine (accel_sim) still bills every iteration.
     """
-    pixels, _, dim = caps_raw.shape
     c0 = int(_softmax_rows(np.zeros((1, n_out), dtype=np.int16), f_logit)[0, 0])
     s = requantize(c0 * caps_raw.astype(np.int64).sum(axis=1), f_logit + f_caps, f_pre)
-    return _squash_rows(np.broadcast_to(s[:, None], (pixels, n_out, dim)), f_pre)
+    return np.repeat(_squash_rows(s[:, None], f_pre), n_out, axis=1)

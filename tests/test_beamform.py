@@ -10,6 +10,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from capsbeam.beamform import (
     envelope,
     log_compress,
     mvdr,
+    run_ranges,
     thread_budget,
     write_pgm,
 )
@@ -191,6 +193,33 @@ def test_mvdr_zero_window_between_rows_is_singular(monkeypatch):
         monkeypatch.setenv("CAPSBEAM_THREADS", threads)
         with pytest.raises(SingularCovariance, match="row 5, column 2"):
             mvdr(_rf(samples), params)
+
+
+def test_nested_run_ranges_runs_inline(monkeypatch):
+    # walk's band workers call conv2d, which calls run_ranges again: that
+    # call must run in the worker itself, not open a pool under the pool.
+    import capsbeam.beamform as beamform
+
+    pools = []
+
+    class CountingPool(beamform.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(beamform, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setenv("CAPSBEAM_THREADS", "2")
+    calls = []
+
+    def outer(lo, hi):
+        me = threading.get_ident()
+        run_ranges(8, lambda a, b: calls.append((lo, a, b, threading.get_ident() == me)))
+
+    run_ranges(4, outer)
+    assert pools == [2]
+    assert sorted(calls) == [(0, 0, 8, True), (2, 0, 8, True)]
+    run_ranges(8, lambda a, b: None)  # the main thread still splits
+    assert pools == [2, 2]
 
 
 def test_thread_budget_parsing(monkeypatch):

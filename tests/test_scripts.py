@@ -11,6 +11,7 @@ from pathlib import Path
 
 from capsbeam.accel_sim import estimate_latency
 from capsbeam.config import load_config
+from capsbeam.data_model import count_flops
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK = str(ROOT / "configs" / "desk.ini")
@@ -35,10 +36,12 @@ def test_scripts_run_on_desk_config(tmp_path):
         assert proc.returncode == 0, (name, err)
         stdout[name] = out
     assert (tmp_path / "w.cbwb").stat().st_size > 0
+    run = load_config(DESK)
+    grid = f"{run.grid.num_rows}x{run.grid.num_cols}"
+    assert f"flops on {grid} grid: {count_flops(run.capsnet, run.grid)}\n" in stdout["make_weights"]
 
     # design_space's optimized block is the pruned, resident estimate at
     # the config's [prune] ratio, as `capsbeam sim --pruned` writes it.
-    run = load_config(DESK)
     label, block = stdout["design_space"].split("\noptimized (")[1].split("\n", 1)
     assert block == estimate_latency(run.capsnet, run.grid, run.accel, pruned=True,
                                      policy="weights_resident",
