@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capsnet import RoutingCfg
-from .data_model import PixelGrid, routing_flops_per_pixel
+from .data_model import PixelGrid, require_finite_fields, routing_flops_per_pixel
 from .errors import BramOverflow, InvalidConfig, ShapeMismatch
 from .pruning import expand_index, kept_per_filter
 from .quantized import _routing_fixed, conv_fixed
@@ -48,6 +48,7 @@ class AccelConfig:
     bram_budget_bytes: int = 1_437_696
 
     def __post_init__(self):
+        require_finite_fields(self, "clock_hz")
         if min(self.pe_rows, self.pe_cols, self.dma_count, self.dma_beat_bytes) < 1:
             raise InvalidConfig("accelerator dimensions must be positive")
         if self.clock_hz <= 0:

@@ -14,7 +14,6 @@ down the rows, and log compression maps magnitudes to a clamped dB scale.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data_model import EnvelopeImage, PixelGrid, RfVolume
+from .data_model import EnvelopeImage, PixelGrid, RfVolume, require_finite_fields
 from .errors import (
     AllZeroImage,
     EmptyList,
@@ -34,7 +33,6 @@ from .errors import (
 )
 
 THREADS_ENV_VAR = "CAPSBEAM_THREADS"
-_WORKER_PREFIX = "capsbeam-worker"
 
 
 def thread_budget() -> int:
@@ -54,15 +52,14 @@ def thread_budget() -> int:
 def run_ranges(n: int, fn, grain: int = 1) -> None:
     """Call fn(lo, hi) on contiguous ranges splitting [0, n), one per each of
     min(thread_budget(), n // grain) threads, so each thread gets at least grain
-    items; one range runs inline, as does every call made from inside a
-    run_ranges worker, so nested splits never start a second pool. Worker
-    errors propagate."""
-    nested = threading.current_thread().name.startswith(_WORKER_PREFIX)
-    workers = 1 if nested else min(thread_budget(), n // grain)
+    items; one range runs inline. MVDR, phantom and capsnet.walk's bands each
+    split once, at the top, and no fn calls run_ranges again. Worker errors
+    propagate."""
+    workers = min(thread_budget(), n // grain)
     if workers <= 1:
         return fn(0, n)
     bounds = [n * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix=_WORKER_PREFIX) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fn, bounds[:-1], bounds[1:]))
 
 
@@ -75,6 +72,7 @@ class MvdrParams:
     diagonal_loading: float = 0.01
 
     def __post_init__(self):
+        require_finite_fields(self, "diagonal_loading")
         if self.subarray_len < 1:
             raise InvalidConfig("subarray_len must be positive")
         if self.temporal_half_window < 0:

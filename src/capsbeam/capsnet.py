@@ -39,14 +39,10 @@ from .data_model import EnvelopeImage, RfVolume, Tensor, WeightBundle, require_f
 from .errors import InvalidConfig, MissingWeight, ShapeMismatch
 
 # Bytes of one im2col copy. conv2d takes output rows in chunks of as many
-# whole rows as fit (at least one) and splits the chunks over
-# CAPSBEAM_THREADS workers, so this bounds each worker's copy (32 rows of
-# conv0 at default.ini took 38 MB); a desk-size conv is one chunk, inline.
+# whole rows as fit (at least one), one after another on the calling
+# thread, so this bounds the copy a band worker holds (32 rows of conv0 at
+# default.ini took 38 MB); a desk-size conv is one chunk.
 _IM2COL_BYTES = 2**22
-# Fewest multiply-adds a conv2d worker is given, about 15 ms of gemm on one
-# core: below that, starting a pool and an uneven split of few chunks cost
-# more than a second worker saves, so a 4-row band runs inline.
-_MIN_WORKER_MACS = 2**26
 # Pixels per routing + fc block, rounded down to whole image rows (at least
 # one), so every fc conv is one gemm per image row as on a whole frame:
 # numpy's one-row product takes another BLAS kernel and other bytes.
@@ -262,17 +258,17 @@ class RoutingState:
     pre_squash_s: np.ndarray
 
 
-def _run_blocks(n: int, block: int, fn, grain: int = 1) -> None:
+def _run_blocks(n: int, block: int, fn) -> None:
     """Call fn(lo, hi) on each fixed block [k * block, min((k + 1) * block, n))
-    of [0, n), the blocks split over run_ranges workers with at least grain
-    blocks each. The blocks never depend on the worker count, so neither
-    does anything computed per block."""
+    of [0, n), the blocks split over run_ranges workers: walk's bands, the one
+    place the network is split. The blocks never depend on the worker count,
+    so neither does anything computed per block."""
 
     def blocks(first, last):
         for k in range(first, last):
             fn(k * block, min((k + 1) * block, n))
 
-    run_ranges(-(-n // block), blocks, grain)
+    run_ranges(-(-n // block), blocks)
 
 
 def _chunk_rows(cols: int, weights_shape: tuple, itemsize: int) -> int:
@@ -305,13 +301,13 @@ def conv2d(values: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = No
     """Same-padded stride-1 cross-correlation on channel-last data.
 
     values [rows, cols, cin], weights [kh, kw, cin, cout]. Output rows run
-    in chunks of _chunk_rows on CAPSBEAM_THREADS workers, each correlating
-    its own zero-bordered slab and storing epilogue(acc) for its
-    accumulator acc [chunk rows, cols, cout] as out_dtype. The default
-    epilogue adds the bias, then applies the optional ReLU; a caller's
-    epilogue replaces both. numpy runs [rows, cols, k] @ [k, cout] as one
-    gemm per row, so every gemm has the same operands and shape however
-    the rows are chunked, and the bytes do not change.
+    in chunks of _chunk_rows on the calling thread (walk's bands run on
+    workers), each correlating its own zero-bordered slab and storing
+    epilogue(acc) for its accumulator acc [chunk rows, cols, cout] as
+    out_dtype. The default epilogue adds the bias, then applies the optional
+    ReLU; a caller's epilogue replaces both. numpy runs [rows, cols, k] @
+    [k, cout] as one gemm per row, so every gemm has the same operands and
+    shape however the rows are chunked, and the bytes do not change.
     """
     values = np.asarray(values)
     weights = np.asarray(weights)
@@ -336,17 +332,14 @@ def conv2d(values: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = No
             return np.maximum(acc, 0, out=acc) if relu else acc
 
     out = np.empty((rows, cols, cout), dtype=out_dtype)
-
-    def chunk(lo, hi):
+    step = _chunk_rows(cols, weights.shape, np.dtype(work).itemsize)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
         # Zero-bordered input rows lo - ph .. hi + ph, cast in the copy.
         slab = np.zeros((hi - lo + kh - 1, cols + kw - 1, cin), dtype=work)
         top, bottom = max(lo - ph, 0), min(hi + ph, rows)
         slab[top - lo + ph : bottom - lo + ph, pw : pw + cols] = values[top:bottom]
         out[lo:hi] = epilogue(correlate(slab, weights))
-
-    step = _chunk_rows(cols, weights.shape, np.dtype(work).itemsize)
-    chunk_macs = step * cols * kh * kw * cin * cout
-    _run_blocks(rows, step, chunk, grain=-(-_MIN_WORKER_MACS // max(chunk_macs, 1)))
     return out
 
 

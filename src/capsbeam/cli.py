@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, accel_sim, beamform, capsnet, metrics, phantom, pruning, quantized
-from .config import RunConfig, load_config
+from .config import RunConfig, _float_list, load_config
 from .data_model import (
     EnvelopeImage,
     RfVolume,
@@ -273,14 +273,14 @@ def _cmd_prune(args) -> int:
     bundle = read_bundle_file(args.weights)
     method = args.method or cfg.prune.method
     r = args.r if args.r is not None else cfg.prune.lookahead
+    ratios = None if args.search is None else sorted(_float_list("prune", "--search", args.search))
     out = _OutDir(args.out, cfg.config_hash)
-    if args.search:
+    if ratios is not None:
         if args.min_cr is None and args.min_gcnr is None:
             raise InvalidConfig("--search requires at least one gate (--min-cr/--min-gcnr)")
         if not args.inp:
             raise InvalidConfig("--search requires --in rf.cbtf to evaluate image quality")
         rf = _load_rf(args.inp, cfg)
-        ratios = sorted(float(v) for v in args.search.split(",") if v.strip())
         rows = []
         chosen = None
         for ratio in ratios:

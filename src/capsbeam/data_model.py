@@ -79,7 +79,12 @@ class Tensor:
             raise ShapeMismatch(f"dims must be non-empty and positive, got {dims}")
         if not -128 <= int(self.scale_exp) <= 127:
             raise InvalidConfig(f"scale_exp {self.scale_exp} outside i8 range")
-        arr = np.ascontiguousarray(self.data, dtype=_NP_DTYPE[self.dtype])
+        data = np.asarray(self.data).reshape(-1)
+        with np.errstate(invalid="ignore"):  # a NaN or out-of-range raw is caught below
+            arr = np.ascontiguousarray(data, dtype=_NP_DTYPE[self.dtype])
+        bad = data[arr != data] if self.dtype == DTYPE_FIXED16 and data.dtype != arr.dtype else ()
+        if len(bad):
+            raise InvalidConfig(f"fixed16 data must be integers in [-32768, 32767]: {bad[0]}")
         if arr.size != int(np.prod(dims)):
             raise ShapeMismatch(
                 f"data has {arr.size} elements, dims {dims} imply {int(np.prod(dims))}"
@@ -257,6 +262,9 @@ def read_bundle_file(path) -> WeightBundle:
         offset += name_len
         tensor, offset = _parse_tensor(buf, offset, f"{path}[{name}]")
         if name.startswith(META_PREFIX):
+            bad = tensor.data[tensor.data.astype(np.uint8) != tensor.data]
+            if bad.size:
+                raise BadEncoding(f"{path}: entry {idx} ({name}) holds raw {bad[0]}, not a byte")
             value = tensor.data.astype(np.uint8).tobytes().rstrip(b"\x00")
             bundle.metadata[name[len(META_PREFIX) :]] = _utf8(value, path, idx)
         else:

@@ -28,7 +28,13 @@ from capsbeam.accel_sim import (
 from capsbeam import capsnet
 from capsbeam.capsnet import CapsConfig, default_config, toy_config
 from capsbeam.data_model import PixelGrid, routing_flops_per_pixel
-from capsbeam.errors import BramOverflow, IndexOutOfRange, InvalidConfig, ShapeMismatch
+from capsbeam.errors import (
+    BramOverflow,
+    IndexOutOfRange,
+    InvalidConfig,
+    NonFinite,
+    ShapeMismatch,
+)
 from capsbeam.quantized import (
     _bias_to_acc,
     _int_conv,
@@ -91,6 +97,14 @@ def test_accel_config_properties():
         AccelConfig(clock_hz=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_accel_config_rejects_non_finite_clock(bad):
+    # NaN passes clock_hz <= 0, and an infinite clock made modeled_gops
+    # divide by a zero latency.
+    with pytest.raises(NonFinite, match="AccelConfig.clock_hz"):
+        AccelConfig(clock_hz=bad)
+
+
 # ------------------------------------------------------------ conv replay
 
 
@@ -143,7 +157,6 @@ def test_sim_conv_matches_fixed_point_path(monkeypatch):
     pre = requantize(_int_conv(x, dense) + _bias_to_acc(b, f_b, f_in + f_w), f_in + f_w, f_out)
     assert pre.min() < 0 < pre.max()
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 1)
-    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)
     for threads in ("1", "2", "4"):
         monkeypatch.setenv("CAPSBEAM_THREADS", threads)
         for relu in (False, True):

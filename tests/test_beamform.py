@@ -10,7 +10,6 @@ import io
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ from capsbeam.beamform import (
     envelope,
     log_compress,
     mvdr,
-    run_ranges,
     thread_budget,
     write_pgm,
 )
@@ -35,6 +33,7 @@ from capsbeam.errors import (
     EmptyList,
     GridMismatch,
     InvalidConfig,
+    NonFinite,
     ShapeMismatch,
     SingularCovariance,
     ZeroWeightSum,
@@ -157,6 +156,12 @@ def test_mvdr_param_validation():
         MvdrParams(diagonal_loading=-0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mvdr_params_reject_non_finite_loading(bad):
+    with pytest.raises(NonFinite, match="MvdrParams.diagonal_loading"):
+        MvdrParams(diagonal_loading=bad)
+
+
 def test_mvdr_thread_count_does_not_change_values(monkeypatch):
     rng = np.random.default_rng(5)
     samples = rng.standard_normal((6, 4, 6)).astype(np.float32)
@@ -195,11 +200,18 @@ def test_mvdr_zero_window_between_rows_is_singular(monkeypatch):
             mvdr(_rf(samples), params)
 
 
-def test_nested_run_ranges_runs_inline(monkeypatch):
-    # walk's band workers call conv2d, which calls run_ranges again: that
-    # call must run in the worker itself, not open a pool under the pool.
+def test_network_opens_one_pool_at_most(monkeypatch, toy_cfg, loud_toy_weights, toy_rf,
+                                        wide_rf):
+    # walk's bands are the one place the network is split over workers:
+    # conv2d runs its chunks on the calling thread, so no pool opens under
+    # the band pool, and a one-band frame or a direct conv opens none.
     import capsbeam.beamform as beamform
+    from capsbeam import capsnet
+    from capsbeam.accel_sim import AccelConfig, ConvLayerSpec, sim_conv_layer
+    from capsbeam.capsnet import infer
+    from capsbeam.quantized import calibrate, infer_quantized, quantize_bundle
 
+    qbundle = quantize_bundle(loud_toy_weights, calibrate(loud_toy_weights, [wide_rf], toy_cfg))
     pools = []
 
     class CountingPool(beamform.ThreadPoolExecutor):
@@ -209,17 +221,22 @@ def test_nested_run_ranges_runs_inline(monkeypatch):
 
     monkeypatch.setattr(beamform, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setenv("CAPSBEAM_THREADS", "2")
-    calls = []
-
-    def outer(lo, hi):
-        me = threading.get_ident()
-        run_ranges(8, lambda a, b: calls.append((lo, a, b, threading.get_ident() == me)))
-
-    run_ranges(4, outer)
-    assert pools == [2]
-    assert sorted(calls) == [(0, 0, 8, True), (2, 0, 8, True)]
-    run_ranges(8, lambda a, b: None)  # the main thread still splits
-    assert pools == [2, 2]
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 1)  # one output row a conv chunk
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # wide_rf: 3 bands, toy_rf: 1
+    for run in (lambda rf: infer(rf, toy_cfg, loud_toy_weights),
+                lambda rf: infer_quantized(rf, toy_cfg, qbundle)):
+        pools.clear()
+        run(wide_rf)
+        assert pools == [2]
+        pools.clear()
+        run(toy_rf)
+        assert pools == []
+    rng = np.random.default_rng(4)
+    spec = ConvLayerSpec(weight=rng.integers(-300, 300, size=(3, 3, 5, 4)).astype(np.int16),
+                         bias=np.zeros(4, dtype=np.int16), index=None, relu=True,
+                         f_in=6, f_w=6, f_b=10, f_out=6)
+    sim_conv_layer(rng.integers(-500, 500, size=(9, 7, 5)).astype(np.int16), spec, AccelConfig())
+    assert pools == []
 
 
 def test_thread_budget_parsing(monkeypatch):

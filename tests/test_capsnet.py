@@ -83,7 +83,6 @@ def test_conv2d_equals_pad_then_correlate(monkeypatch, dtype):
     # padding the whole input once and correlating it, chunk seams included.
     monkeypatch.setenv("CAPSBEAM_THREADS", "2")
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 1)  # one output row a chunk
-    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)
     rng = np.random.default_rng(12)
     values = rng.standard_normal((11, 9, 3)).astype(dtype)
     weights = rng.standard_normal((5, 3, 3, 4)).astype(dtype)
@@ -445,7 +444,6 @@ def test_infer_bytes_independent_of_threads_and_blocks(monkeypatch, toy_cfg,
     ref = infer(wide_rf, toy_cfg, loud_toy_weights)
     assert len(np.unique(ref.i_part)) > 1000
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**16)  # conv0: 2 rows a chunk
-    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)  # thread even toy convs
     monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # 7 blocks of 10 rows
     for threads in ("1", "2", "4"):
         monkeypatch.setenv("CAPSBEAM_THREADS", threads)

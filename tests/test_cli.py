@@ -360,6 +360,23 @@ def test_prune_search_gates(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("search, message", [
+    ("0.5,abc", "--search: not a number: 'abc'"),
+    (",", "--search: empty list"),
+    ("", "--search: empty list"),
+])
+def test_prune_search_rejects_a_bad_list_before_pruning(tmp_path, capsys, search, message):
+    cfg = load_config(DESK)
+    weights = tmp_path / "w.cbwb"
+    write_bundle_file(capsnet.init_weights(cfg.capsnet, seed=7), str(weights))
+    out = tmp_path / "out"
+    rc = cli.main(["prune", "--config", DESK, "--weights", str(weights), "--search", search,
+                   "--min-cr", "0.0", "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- exit codes
 
 

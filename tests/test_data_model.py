@@ -163,6 +163,22 @@ def test_bundle_round_trip_preserves_order_and_metadata(tmp_path):
     assert bundle_hash(back) == bundle_hash(bundle)
 
 
+def test_fixed16_rejects_values_the_cast_would_change():
+    # Casting to int16 raws would store 40000 as -25536 and -1.7 as -1.
+    with pytest.raises(InvalidConfig, match="40000"):
+        Tensor(dims=(3,), dtype="fixed16", data=np.array([40000, -1.7, 3]))
+    with pytest.raises(InvalidConfig, match="-1.7"):
+        Tensor(dims=(3,), dtype="fixed16", data=np.array([4, -1.7, 3]))
+    with pytest.raises(InvalidConfig, match="nan"):
+        Tensor(dims=(1,), dtype="fixed16", data=np.array([np.nan]))
+    with pytest.raises(InvalidConfig, match="70000"):
+        Tensor.from_array(np.array([70000]))  # int64 would store 4464
+    exact = Tensor(dims=(3,), dtype="fixed16", data=np.array([-32768.0, 3.0, 32767.0]))
+    assert exact.data.dtype == np.int16
+    assert exact.data.tolist() == [-32768, 3, 32767]
+    assert Tensor.from_array(np.array([-32768, 32767])).data.tolist() == [-32768, 32767]
+
+
 def test_bundle_require_missing(toy_weights):
     with pytest.raises(MissingWeight):
         toy_weights.require("nope.weight")
@@ -201,6 +217,23 @@ def test_bundle_non_utf8_name_or_value_names_the_entry(tmp_path):
     assert blob[value_at : value_at + 2] == bytes([0xCE, 0x00])
     path.write_bytes(blob[:value_at] + b"\xff" + blob[value_at + 1 :])
     with pytest.raises(BadEncoding, match="entry 3 "):
+        read_bundle_file(path)
+
+
+@pytest.mark.parametrize("raw", [321, -191, 256])
+def test_bundle_metadata_raw_outside_a_byte_names_the_entry(tmp_path, raw):
+    # 321 and -191 would wrap to 65, "A", in a uint8 cast.
+    bundle = WeightBundle()
+    bundle.entries["w"] = Tensor.from_array(np.zeros(1, dtype=np.float32))
+    bundle.metadata["k"] = "A"
+    path = tmp_path / "w.cbwb"
+    write_bundle_file(bundle, path)
+    blob = path.read_bytes()
+    # Entry 1 is meta.k: name, 13-byte header, one u64 dim, then one fixed16 word.
+    value_at = blob.rindex(b"meta.k") + len(b"meta.k") + 13 + 8
+    assert blob[value_at:] == struct.pack("<h", ord("A"))
+    path.write_bytes(blob[:value_at] + struct.pack("<h", raw))
+    with pytest.raises(BadEncoding, match=f"entry 1 .*raw {raw},"):
         read_bundle_file(path)
 
 

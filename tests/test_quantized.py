@@ -359,7 +359,6 @@ def test_infer_quantized_bytes_independent_of_threads_and_blocks(monkeypatch, to
     ref = infer_quantized(wide_rf, toy_cfg, qbundle)
     assert len(np.unique(ref.i_part)) > 1000
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**16)  # conv0: 2 rows a chunk
-    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)  # thread even toy convs
     monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # 7 blocks of 10 rows
     for threads in ("1", "2", "4"):
         monkeypatch.setenv("CAPSBEAM_THREADS", threads)
@@ -403,7 +402,6 @@ def test_calibrate_independent_of_threads(monkeypatch, toy_cfg, loud_toy_weights
     # finish. More workers than cores and a short switch interval give a
     # lost or torn update every chance to show in the trace.
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**16)
-    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)
     monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)
     monkeypatch.setenv("CAPSBEAM_THREADS", "1")
     ref_plan = calibrate(loud_toy_weights, [wide_rf], toy_cfg)
@@ -579,7 +577,6 @@ def test_network_bytes_frozen(threads, monkeypatch, toy_cfg, loud_toy_weights, w
     # many conv chunks and routing blocks; the digests were taken before
     # the float and fixed paths shared one layer walk.
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**12)
-    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)
     monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)
     monkeypatch.setenv("CAPSBEAM_THREADS", threads)
     trace: dict = {}
@@ -641,7 +638,6 @@ def test_banded_walk_matches_whole_frame(pixel_block, band_blocks, threads, monk
     # layer-by-layer bytes, trace and plan.
     assert wide_rf.samples.shape[:2] == (70, 40)
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**12)
-    monkeypatch.setattr(capsnet, "_MIN_WORKER_MACS", 1)
     monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", pixel_block)
     monkeypatch.setattr(capsnet, "_BAND_BLOCKS", band_blocks)
     monkeypatch.setenv("CAPSBEAM_THREADS", threads)
