@@ -12,12 +12,11 @@ band runs every layer, routing and fc on its own rows plus the
 receptive-field halo, and no layer is ever held for the whole frame. The
 bytes are the layer-by-layer order's, because conv2d is one gemm per
 image row however the rows are split, squash, routing and fc are per
-pixel, and quantization is elementwise. Routing
-predictions are the input capsules themselves broadcast over output
-capsules; there are no trained routing matrices, so in_dim must equal
-out_dim. Such predictions keep the coupling uniform, so dynamic_routing
-exits after the first iteration with the bytes of every iteration run;
-the accelerator ledger (accel_sim) still bills every iteration.
+pixel, and quantization is elementwise. Routing predictions are the
+input capsules themselves broadcast over output capsules; there are no
+trained routing matrices, so in_dim must equal out_dim. Such predictions
+keep the coupling uniform, so both paths route them in closed form
+(_FloatArith.route); the accelerator ledger still bills every iteration.
 Inference only; training is out of scope.
 
 Weight bundle naming: conv0.weight/conv0.bias, conv1.*, caps0.*, caps1.*,
@@ -366,15 +365,8 @@ def dynamic_routing(u_hat: np.ndarray, num_iterations: int,
 
     Logits start at zero. Each iteration: coupling = softmax over the
     output axis, weighted sum over inputs, squash. The logit update
-    b += u_hat . v runs after every iteration except the last.
-
-    Early exit, exact: while every logit row of the call is finite and
-    constant over the output axis, its softmax is the zero logits'
-    uniform coupling bit for bit, so c, s, v and the update repeat the
-    first iteration's and only b is added again. Broadcast predictions
-    (infer's) keep the rows so on every input; a row that turns non-finite
-    or varies puts the call back on the full recipe from that iteration.
-    record still gets every iteration's state.
+    b += u_hat . v runs after every iteration except the last. record,
+    when given, gets every iteration's state.
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     if u_hat.ndim < 3:
@@ -382,17 +374,12 @@ def dynamic_routing(u_hat: np.ndarray, num_iterations: int,
     if num_iterations < 1:
         raise InvalidConfig("need at least one routing iteration")
     b = np.zeros(u_hat.shape[:-1], dtype=np.float64)
-    uniform = False  # c, s, v and d hold the zero logits' iteration
     for it in range(num_iterations):
-        if not (uniform and np.all(b == b[..., :1]) and np.all(np.isfinite(b[..., 0]))):
-            c = routing_softmax(b, axis=-1)
-            s = np.einsum("...ij,...ijd->...jd", c, u_hat)
-            v = squash(s, axis=-1)
-            if it < num_iterations - 1:
-                d = np.einsum("...ijd,...jd->...ij", u_hat, v)
-            uniform = it == 0
+        c = routing_softmax(b, axis=-1)
+        s = np.einsum("...ij,...ijd->...jd", c, u_hat)
+        v = squash(s, axis=-1)
         if it < num_iterations - 1:
-            b = b + d
+            b = b + np.einsum("...ijd,...jd->...ij", u_hat, v)
         if record is not None:
             record.append(RoutingState(b.copy(), c, u_hat, v, s))
     return v
@@ -447,8 +434,8 @@ def _trace(trace: dict | None, name: str, values: np.ndarray):
 
 @dataclass(frozen=True)
 class _FloatArith:
-    """walk's float64 arithmetic: conv2d, squash, and dynamic_routing of the
-    input capsules broadcast over the outputs, its record traced."""
+    """walk's float64 arithmetic: conv2d, squash, and the closed form of
+    dynamic_routing on the input capsules broadcast over the outputs."""
 
     weights: WeightBundle
 
@@ -466,14 +453,22 @@ class _FloatArith:
         return squash(s)
 
     def route(self, caps, routing: RoutingCfg, names, trace):
-        record = None if trace is None else []
-        u_hat = np.broadcast_to(caps[:, :, None], (*caps.shape[:2], routing.num_out_capsules,
-                                                   caps.shape[2]))
-        v = dynamic_routing(u_hat, routing.num_iterations, record=record)
-        for state in record or ():
-            _trace(trace, names[1], state.logits_b)
-            _trace(trace, names[2], state.pre_squash_s)
-        return v
+        """dynamic_routing's bytes for caps [pixels, n_in, dim] broadcast over
+        the outputs, in closed form; the one place this is argued. The zero
+        logits' softmax is the uniform c0, so every output gets the loop's
+        s = c0 * sum_i u_i (its products, in its order) and v. Each agreement
+        row d_i = u_i . v is then constant over the outputs, so each later
+        logit row is constant and finite (|u_i|, |v| < 1) and every softmax
+        is c0 again. The trace gets the peaks of the loop's record.
+        """
+        c0 = routing_softmax(np.zeros(routing.num_out_capsules))[0]
+        v = squash(_trace(trace, names[2], (c0 * caps).sum(axis=1)[:, None]))
+        if trace is not None:  # the logits 0, d, d + d, ... added as the loop adds
+            d = np.einsum("pid,pd->pi", caps, v[:, 0])
+            b = _trace(trace, names[1], np.zeros_like(d))
+            for _ in range(routing.num_iterations - 1):
+                b = _trace(trace, names[1], b + d)
+        return np.repeat(v, routing.num_out_capsules, axis=1)
 
 
 def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.ndarray:
@@ -559,10 +554,9 @@ def infer(rf: RfVolume, cfg: CapsConfig, weights: WeightBundle,
           trace: dict | None = None) -> EnvelopeImage:
     """Run the float network (walk in float64) over a ToF-corrected volume.
 
-    The output bytes do not depend on CAPSBEAM_THREADS. Each block's
-    routing computes one iteration and repeats it for the rest (see
-    dynamic_routing). trace, when given, accumulates every stage's max
-    absolute activation under the names quantization calibration scales.
+    The output bytes do not depend on CAPSBEAM_THREADS. trace, when
+    given, accumulates every stage's max absolute activation under the
+    names quantization calibration scales.
     """
     out = walk(rf, cfg, _FloatArith(weights), trace)
     return EnvelopeImage(grid=rf.grid, i_part=out[..., 0].astype(np.float32),

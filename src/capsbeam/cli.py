@@ -527,9 +527,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--weights", required=True, help="weight bundle")
     p.add_argument("--method", choices=pruning.METHODS)
-    p.add_argument("--ratio", type=float, help="kernel prune fraction per filter")
+    ratio = p.add_mutually_exclusive_group()
+    ratio.add_argument("--ratio", type=float, help="kernel prune fraction per filter")
+    ratio.add_argument("--search", help="comma list of ratios to evaluate")
     p.add_argument("--r", type=int, help="lookahead depth")
-    p.add_argument("--search", help="comma list of ratios to evaluate")
     p.add_argument("--in", dest="inp", help="rf tensor for --search image quality")
     p.add_argument("--min-cr", type=float, help="search gate: minimum CR in dB")
     p.add_argument("--min-gcnr", type=float, help="search gate: minimum gCNR")

@@ -80,11 +80,15 @@ class Tensor:
         if not -128 <= int(self.scale_exp) <= 127:
             raise InvalidConfig(f"scale_exp {self.scale_exp} outside i8 range")
         data = np.asarray(self.data).reshape(-1)
-        with np.errstate(invalid="ignore"):  # a NaN or out-of-range raw is caught below
+        with np.errstate(invalid="ignore", over="ignore"):  # a lossy cast is caught below
             arr = np.ascontiguousarray(data, dtype=_NP_DTYPE[self.dtype])
-        bad = data[arr != data] if self.dtype == DTYPE_FIXED16 and data.dtype != arr.dtype else ()
-        if len(bad):
+        fixed = self.dtype == DTYPE_FIXED16
+        bad = () if data.dtype == arr.dtype else (
+            data[arr != data] if fixed else data[np.isfinite(data) & ~np.isfinite(arr)])
+        if len(bad) and fixed:
             raise InvalidConfig(f"fixed16 data must be integers in [-32768, 32767]: {bad[0]}")
+        if len(bad):
+            raise NonFinite(f"float32 data must stay finite in the cast: {bad[0]}")
         if arr.size != int(np.prod(dims)):
             raise ShapeMismatch(
                 f"data has {arr.size} elements, dims {dims} imply {int(np.prod(dims))}"

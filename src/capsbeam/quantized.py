@@ -263,10 +263,15 @@ def plan_to_entries(plan: QuantPlan) -> dict[str, Tensor]:
 
 
 def plan_from_bundle(bundle: WeightBundle) -> QuantPlan:
+    """A bundle's .scale entries as a plan; f > MAX_SCALE_EXP overflows _squash_rows."""
     plan = QuantPlan()
     for name, entry in bundle.entries.items():
         if name.endswith(".scale"):
-            plan.scales[name[: -len(".scale")]] = int(entry.data.reshape(-1)[0])
+            raw = entry.data.ravel()
+            if entry.dtype != "fixed16" or raw.size != 1 or raw[0] > MAX_SCALE_EXP:
+                raise InvalidConfig(f"{name} holds {entry.dtype} {raw[:4].tolist()}, "
+                                    f"not one fixed16 scale <= MAX_SCALE_EXP {MAX_SCALE_EXP}")
+            plan.scales[name[: -len(".scale")]] = int(raw[0])
     if not plan.scales:
         raise MissingScale("bundle carries no .scale entries; run quantize first")
     return plan
@@ -398,14 +403,9 @@ def _routing_fixed(caps_raw: np.ndarray, f_caps: int, n_out: int, f_logit: int,
     """Batched fixed-point routing with the input capsules as predictions.
 
     Returns output capsules at the pre-squash scale f_pre, shape
-    [pixels, n_out, dim]. One pass gives the result of any iteration
-    count, since the predictions are the input capsules:
-    - every output capsule v_j gets the same sum;
-    - so every agreement row, and every logit row after it, saturated or
-      not, is constant over the output axis;
-    - so every iteration's softmax equals the zero logits' coupling c0.
-    The identical output capsules are squashed once and repeated. The
-    modeled engine (accel_sim) still bills every iteration.
+    [pixels, n_out, dim]: the closed form capsnet._FloatArith.route argues
+    gives any iteration count's result (a saturated logit row is constant
+    too). The modeled engine (accel_sim) still bills every iteration.
     """
     c0 = int(_softmax_rows(np.zeros((1, n_out), dtype=np.int16), f_logit)[0, 0])
     s = requantize(c0 * caps_raw.astype(np.int64).sum(axis=1), f_logit + f_caps, f_pre)

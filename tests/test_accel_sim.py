@@ -143,9 +143,9 @@ def test_sim_conv_matches_fixed_point_path(monkeypatch):
         if relu:
             expected = np.maximum(expected, 0).astype(np.int16)
         np.testing.assert_array_equal(got, expected)
-    # Chunked and threaded: a 5x3 kernel with an index list, one output row
-    # a conv chunk, on 1, 2 and 4 workers, against the whole-tensor
-    # reference computed before the chunking is forced.
+    # Chunked: a 5x3 kernel with an index list, one output row a conv
+    # chunk, against the whole-tensor reference computed before the
+    # chunking is forced.
     x = rng.integers(-500, 500, size=(9, 7, 5)).astype(np.int16)
     kept = 3
     w = rng.integers(-300, 300, size=(5, 3, kept, 4)).astype(np.int16)
@@ -157,14 +157,12 @@ def test_sim_conv_matches_fixed_point_path(monkeypatch):
     pre = requantize(_int_conv(x, dense) + _bias_to_acc(b, f_b, f_in + f_w), f_in + f_w, f_out)
     assert pre.min() < 0 < pre.max()
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 1)
-    for threads in ("1", "2", "4"):
-        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
-        for relu in (False, True):
-            spec = ConvLayerSpec(weight=w, bias=b, index=index, relu=relu,
-                                 f_in=f_in, f_w=f_w, f_b=f_b, f_out=f_out)
-            got, _ = sim_conv_layer(x, spec, AccelConfig())
-            expected = np.maximum(pre, 0) if relu else pre
-            assert got.tobytes() == expected.tobytes(), (threads, relu)
+    for relu in (False, True):
+        spec = ConvLayerSpec(weight=w, bias=b, index=index, relu=relu,
+                             f_in=f_in, f_w=f_w, f_b=f_b, f_out=f_out)
+        got, _ = sim_conv_layer(x, spec, AccelConfig())
+        expected = np.maximum(pre, 0) if relu else pre
+        assert got.tobytes() == expected.tobytes(), relu
 
 
 def test_sim_conv_pruned_matches_densified():

@@ -81,7 +81,6 @@ def test_conv2d_1x1_is_pointwise_matmul():
 def test_conv2d_equals_pad_then_correlate(monkeypatch, dtype):
     # conv2d borders each row chunk's slab itself; the bytes must equal
     # padding the whole input once and correlating it, chunk seams included.
-    monkeypatch.setenv("CAPSBEAM_THREADS", "2")
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 1)  # one output row a chunk
     rng = np.random.default_rng(12)
     values = rng.standard_normal((11, 9, 3)).astype(dtype)
@@ -246,101 +245,44 @@ def test_routing_softmax_uniform_on_zero_logits():
     np.testing.assert_allclose(out, 0.2, atol=1e-15)
 
 
-# ------------------------------------------------ routing early exit
-
-
-def _routing_full(u_hat, num_iterations, record=None):
-    """dynamic_routing without the early exit: every iteration runs the
-    softmax, weighted sum, squash and logit update."""
-    u_hat = np.asarray(u_hat, dtype=np.float64)
-    b = np.zeros(u_hat.shape[:-1], dtype=np.float64)
-    v = None
-    for it in range(num_iterations):
-        c = routing_softmax(b, axis=-1)
-        s = np.einsum("...ij,...ijd->...jd", c, u_hat)
-        v = squash(s, axis=-1)
-        if it < num_iterations - 1:
-            b = b + np.einsum("...ijd,...jd->...ij", u_hat, v)
-        if record is not None:
-            record.append(RoutingState(b.copy(), c, u_hat, v, s))
-    return v
-
-
-_STATE_FIELDS = ("logits_b", "coupling_c", "prediction_u_hat", "output_v", "pre_squash_s")
-
-
-def _assert_routing_matches_full(u_hat, iterations, equal=None):
-    """dynamic_routing equals _routing_full in v and in every recorded
-    field, bit for bit (or by `equal`); returns how many softmaxes ran."""
-    if equal is None:
-        def equal(a, b):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
-    calls = []
-
-    def counted(logits, axis=-1):
-        calls.append(1)
-        return routing_softmax(logits, axis)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(capsnet, "routing_softmax", counted)
-        got = dynamic_routing(u_hat, iterations)
-        record: list[RoutingState] = []
-        got_rec = dynamic_routing(u_hat, iterations, record=record)
-    ref_record: list[RoutingState] = []
-    ref = _routing_full(u_hat, iterations, record=ref_record)
-    equal(got, ref)
-    equal(got_rec, ref)
-    assert len(record) == len(ref_record) == iterations
-    for state, ref_state in zip(record, ref_record):
-        for name in _STATE_FIELDS:
-            equal(getattr(state, name), getattr(ref_state, name))
-    return len(calls) // 2
-
-
-def test_routing_exit_bit_exact_on_broadcast_predictions():
-    # Predictions as infer builds them: input capsules broadcast over the
-    # outputs. The first softmax is the only one; the rest repeat it.
-    rng = np.random.default_rng(21)
-    for n_out in (1, 3, 8):
-        caps = rng.standard_normal((9, 4, 1, 5))
-        u_hat = np.broadcast_to(caps, (9, 4, n_out, 5))
-        for iterations in range(1, 6):
-            assert _assert_routing_matches_full(u_hat, iterations) == 1
-
-
-def test_routing_exit_does_not_fire_on_general_predictions():
-    rng = np.random.default_rng(22)
-    u_hat = rng.standard_normal((6, 4, 3, 5))
-    for iterations in range(1, 6):
-        assert _assert_routing_matches_full(u_hat, iterations) == iterations
-
-
-def test_routing_exit_needs_every_pixel_constant():
-    # Pixel 0 and half the rest route broadcast predictions, the others
-    # general ones: the whole call must take the full recipe.
-    rng = np.random.default_rng(23)
-    u_hat = rng.standard_normal((8, 3, 4, 2))
-    u_hat[::2] = rng.standard_normal((4, 3, 1, 2))
-    for iterations in (2, 3, 5):
-        assert _assert_routing_matches_full(u_hat, iterations) == iterations
-
-
-def test_routing_exit_keeps_overflow_nan():
+def test_dynamic_routing_overflow_gives_nan():
     # One pixel, capsules of +-a and 1e10: the coupled sum cancels to a
     # finite s, but u . v overflows. At a = 1.7e308 the first update is a
     # constant +-inf row; at 7e307 it is finite and the second update
-    # overflows. Both must give the full recipe's NaN, not finite output.
+    # overflows. From then on the output is NaN.
     for a, first_nan in ((1.7e308, 2), (7e307, 3)):
         caps = np.array([[a, a], [-a, -a], [1e10, 1e10]])[None, :, None, :]
         u_hat = np.broadcast_to(caps, (1, 3, 3, 2))
         for iterations in range(1, 6):
             with np.errstate(all="ignore"):
-                _assert_routing_matches_full(
-                    u_hat, iterations,
-                    equal=lambda x, y: np.testing.assert_array_equal(x, y, strict=True))
                 v = dynamic_routing(u_hat, iterations)
             assert np.isnan(v).all() == (iterations >= first_nan)
+
+
+def test_float_route_is_dynamic_routing_on_broadcast_predictions():
+    # walk's float routing computes the closed form; it must give the loop's
+    # bytes on the predictions infer routes (squashed input capsules
+    # broadcast over the outputs), and trace the peaks of the loop's record.
+    rng = np.random.default_rng(21)
+    names = ("caps", "routing.logits", "routing.pre", "routing.out")
+    for n_in, dim in ((4, 5), (8, 8), (11, 3)):
+        caps = squash(rng.standard_normal((9, n_in, dim)) * 3)
+        for n_out in (1, 3, 8):
+            u_hat = np.broadcast_to(caps[:, :, None], (9, n_in, n_out, dim))
+            for iterations in range(1, 6):
+                routing = RoutingCfg(n_in, dim, n_out, dim, iterations)
+                trace: dict = {}
+                got = capsnet._FloatArith(None).route(caps, routing, names, trace)
+                record: list[RoutingState] = []
+                ref = dynamic_routing(u_hat, iterations, record=record)
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
+                assert trace == {
+                    name: max(float(np.max(np.abs(getattr(state, field))))
+                              for state in record)
+                    for name, field in (("routing.logits", "logits_b"),
+                                        ("routing.pre", "pre_squash_s"))
+                }
 
 
 # ---------------------------------------------------------------- layers

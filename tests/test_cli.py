@@ -393,6 +393,18 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_prune_search_with_ratio_is_a_usage_error(tmp_path, capsys):
+    # --search picks its own ratio, so a --ratio beside it would be ignored.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prune", "--config", DESK, "--weights", str(tmp_path / "w.cbwb"),
+                  "--search", "0.25", "--ratio", "0.5", "--min-cr", "0.0",
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_errors_exit_one(tmp_path, capsys):
     rc = cli.main(["tofc", "--config", DESK, "--in", str(tmp_path / "nope.cbtf"),
                    "--out", str(tmp_path / "o")])

@@ -179,6 +179,17 @@ def test_fixed16_rejects_values_the_cast_would_change():
     assert Tensor.from_array(np.array([-32768, 32767])).data.tolist() == [-32768, 32767]
 
 
+def test_float32_rejects_finite_values_the_cast_makes_infinite():
+    # float32 would store 1e40 as inf; underflow to 0, and values already
+    # non-finite, pass through as before.
+    with pytest.raises(NonFinite, match="1e\\+40"):
+        Tensor(dims=(2,), dtype="float32", data=np.array([1e40, 1e-50]))
+    with pytest.raises(NonFinite, match="-1e\\+39"):
+        Tensor(dims=(3,), dtype="float32", data=np.array([1.0, -1e39, 1e40]))
+    kept = Tensor(dims=(4,), dtype="float32", data=np.array([1e-50, 3.0, np.inf, np.nan]))
+    np.testing.assert_array_equal(kept.data, np.array([0.0, 3.0, np.inf, np.nan], np.float32))
+
+
 def test_bundle_require_missing(toy_weights):
     with pytest.raises(MissingWeight):
         toy_weights.require("nope.weight")

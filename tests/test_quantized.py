@@ -299,6 +299,27 @@ def test_plan_entries_round_trip():
         plan_from_bundle(WeightBundle())
 
 
+@pytest.mark.parametrize("dtype, raws", [
+    ("fixed16", [9, 9, 9]), ("fixed16", [MAX_SCALE_EXP + 1]), ("fixed16", [31]),
+    ("float32", [np.nan]), ("float32", [3.5]),
+])
+def test_plan_from_bundle_rejects_a_bad_scale_entry(dtype, raws):
+    # A file's scale entry is read as is: a longer entry would lose all but
+    # its first value, past MAX_SCALE_EXP _squash_rows overflows int64 (at
+    # f = 31 it flips the signs of [100, 200, -300, 50]), and a float is no
+    # shift count.
+    bundle = WeightBundle()
+    bundle.entries.update(plan_to_entries(QuantPlan(scales={"input": 11})))
+    bundle.entries["caps0.pre.scale"] = Tensor(
+        dims=(len(raws),), dtype=dtype, data=np.array(raws), scale_exp=0)
+    message = re.escape(f"caps0.pre.scale holds {dtype} {raws}, not one fixed16 scale <= ")
+    with pytest.raises(InvalidConfig, match=message):
+        plan_from_bundle(bundle)
+    bundle.entries["caps0.pre.scale"] = Tensor(
+        dims=(1,), dtype="fixed16", data=np.array([MAX_SCALE_EXP]), scale_exp=0)
+    assert plan_from_bundle(bundle).scales == {"input": 11, "caps0.pre": MAX_SCALE_EXP}
+
+
 def test_quantize_bundle_converts_floats(toy_cfg, toy_weights, toy_rf):
     plan = calibrate(toy_weights, [toy_rf], toy_cfg)
     qb = quantize_bundle(toy_weights, plan)
