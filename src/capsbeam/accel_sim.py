@@ -213,15 +213,17 @@ def _conv_compute_cycles(shape: LayerShape, accel: AccelConfig) -> int:
     )
 
 
+def _stored_weight_words(shape: LayerShape, with_index: bool) -> int:
+    """Words of one layer's stored weights: kept kernels, bias and, for a
+    pruned layer, its [kept, cout] index."""
+    words = shape.kernel_h * shape.kernel_w * shape.cin_kept * shape.cout + shape.cout
+    return words + (shape.cin_kept * shape.cout if with_index else 0)
+
+
 def _layer_bram_bytes(shape: LayerShape, accel: AccelConfig, with_index: bool) -> int:
-    wb = accel.word_bytes
-    weight_words = shape.kernel_h * shape.kernel_w * shape.cin_kept * shape.cout
-    weight_words += shape.cout  # bias
-    if with_index:
-        weight_words += shape.cin_kept * shape.cout
     line_words = shape.kernel_h * shape.cols * shape.cin
     out_words = shape.cols * shape.cout
-    return (weight_words + line_words + out_words) * wb
+    return (_stored_weight_words(shape, with_index) + line_words + out_words) * accel.word_bytes
 
 
 def _conv_report(name: str, shape: LayerShape, transactions: int, accel: AccelConfig,
@@ -273,7 +275,7 @@ def sim_conv_layer(
     if spec.index is not None:
         weight = expand_index(weight, spec.index, cin, spec.name)
     shape = LayerShape(rows, cols, kh, kw, cin, cout, cin_kept=kept)
-    weight_words = kh * kw * kept * cout + cout + (kept * cout if spec.index is not None else 0)
+    weight_words = _stored_weight_words(shape, spec.index is not None)
     if policy == "reload_per_block":
         weight_stream = rows * weight_words
     else:
@@ -298,15 +300,10 @@ def routing_cycles_per_pixel(n_caps: int, dim: int, iterations: int) -> int:
     return iterations * per_iter
 
 
-def _routing_ops_per_pixel(n_in: int, n_out: int, dim: int, iterations: int) -> int:
-    """routing_flops_per_pixel plus the agreement pass the engine runs
-    after the last iteration."""
-    routing = RoutingCfg(n_in, dim, n_out, dim, iterations)
-    return routing_flops_per_pixel(routing) + 2 * n_in * n_out * dim
-
-
 def _routing_report(pixels: int, routing: RoutingCfg, accel: AccelConfig) -> LayerReport:
-    """Routing engine ledger row: capsules in and out once per pixel, no stall."""
+    """Routing engine ledger row: capsules in and out once per pixel, no stall.
+    Ops are routing_flops_per_pixel plus the agreement pass the engine runs
+    after the last iteration."""
     n_in, n_out = routing.num_in_capsules, routing.num_out_capsules
     dim, iterations = routing.out_dim, routing.num_iterations
     return LayerReport(
@@ -314,7 +311,7 @@ def _routing_report(pixels: int, routing: RoutingCfg, accel: AccelConfig) -> Lay
         transactions=pixels * (n_in + n_out) * dim,
         compute_cycles=pixels * routing_cycles_per_pixel(max(n_in, n_out), dim, iterations),
         stall_cycles=0,
-        ops=pixels * _routing_ops_per_pixel(n_in, n_out, dim, iterations),
+        ops=pixels * (routing_flops_per_pixel(routing) + 2 * n_in * n_out * dim),
         bram_bytes=(n_in + n_out) * dim * accel.word_bytes,
     )
 

@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .beamform import run_ranges
 from .data_model import EnvelopeImage, RfVolume, Tensor, WeightBundle, require_finite
-from .errors import InvalidConfig, MissingWeight, ShapeMismatch
+from .errors import InvalidConfig, ShapeMismatch
 
 # Bytes of one im2col copy. conv2d takes output rows in chunks of as many
 # whole rows as fit (at least one), one after another on the calling
@@ -171,13 +171,6 @@ class CapsConfig:
             raise InvalidConfig("inference needs routing and fc stages")
         if self.fc_layers[-1].out_features != 2:
             raise InvalidConfig("final fc layer must emit 2 features (I, Q)")
-
-    @property
-    def receptive_field(self) -> int:
-        span = 1
-        for layer in list(self.conv_layers) + list(self.caps_conv_layers):
-            span += layer.kernel_h - 1
-        return span
 
     def weighted_layers(self) -> list[WeightedLayer]:
         """Every weighted layer in bundle order: conv{i}, caps{i}, fc{i}.

@@ -118,14 +118,6 @@ class Tensor:
         dims = struct.pack(f"<{len(self.dims)}Q", *self.dims)
         return header + dims + self.data.tobytes(order="C")
 
-    def bit_equal(self, other: "Tensor") -> bool:
-        return (
-            self.dims == other.dims
-            and self.dtype == other.dtype
-            and self.scale_exp == other.scale_exp
-            and self.data.tobytes() == other.data.tobytes()
-        )
-
 
 def _parse_tensor(buf: bytes, offset: int, where: str) -> tuple[Tensor, int]:
     """Parse one tensor record at offset; returns (tensor, next offset)."""

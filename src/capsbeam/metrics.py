@@ -9,14 +9,12 @@ against the image's own pixel grid.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import EnvelopeImage, PixelGrid
 from .errors import (
-    AllZeroImage,
     DepthOutOfRange,
     EmptyRegion,
     InvalidConfig,
@@ -91,24 +89,6 @@ def _region_values(env: EnvelopeImage, inside: RegionSpec,
 # 1-D profile width ---------------------------------------------------------------
 
 
-def _fwhm_from(p: np.ndarray, peak_idx: int, spacing_m: float) -> float:
-    peak = p[peak_idx]
-    half = peak / 2.0
-    lo = peak_idx
-    while lo > 0 and p[lo] >= half:
-        lo -= 1
-    if p[lo] >= half:
-        raise NoCrossing("no half-maximum crossing left of the peak")
-    left = lo + (half - p[lo]) / (p[lo + 1] - p[lo])
-    hi = peak_idx
-    while hi < p.size - 1 and p[hi] >= half:
-        hi += 1
-    if p[hi] >= half:
-        raise NoCrossing("no half-maximum crossing right of the peak")
-    right = hi - 1 + (half - p[hi - 1]) / (p[hi] - p[hi - 1])
-    return float((right - left) * spacing_m)
-
-
 def fwhm(profile: np.ndarray, spacing_m: float) -> float:
     """Full width at half maximum of a 1-D magnitude profile, in meters.
 
@@ -124,7 +104,20 @@ def fwhm(profile: np.ndarray, spacing_m: float) -> float:
     peak_idx = int(np.argmax(p))
     if p[peak_idx] <= 0 or np.all(p == p[0]):
         raise NoPeak("profile has no positive peak")
-    return _fwhm_from(p, peak_idx, spacing_m)
+    half = p[peak_idx] / 2.0
+    lo = peak_idx
+    while lo > 0 and p[lo] >= half:
+        lo -= 1
+    if p[lo] >= half:
+        raise NoCrossing("no half-maximum crossing left of the peak")
+    left = lo + (half - p[lo]) / (p[lo + 1] - p[lo])
+    hi = peak_idx
+    while hi < p.size - 1 and p[hi] >= half:
+        hi += 1
+    if p[hi] >= half:
+        raise NoCrossing("no half-maximum crossing right of the peak")
+    right = hi - 1 + (half - p[hi - 1]) / (p[hi] - p[hi - 1])
+    return float((right - left) * spacing_m)
 
 
 # region contrast -----------------------------------------------------------------
@@ -179,7 +172,7 @@ def gcnr(env: EnvelopeImage, inside: RegionSpec, outside: RegionSpec,
     return float(1.0 - np.minimum(p, q).sum())
 
 
-# profiles and point targets ------------------------------------------------------
+# depth lookup --------------------------------------------------------------------
 
 
 def depth_row(grid: PixelGrid, depth_m: float) -> int:
@@ -189,93 +182,3 @@ def depth_row(grid: PixelGrid, depth_m: float) -> int:
     if not (depths[0] <= depth_m <= depths[-1]):
         raise DepthOutOfRange(f"depth {depth_m} outside [{depths[0]}, {depths[-1]}]")
     return int(np.argmin(np.abs(depths - depth_m)))
-
-
-def lateral_profile(env: EnvelopeImage, depth_m: float,
-                    dynamic_range_db: float = 60.0) -> np.ndarray:
-    """Log-compressed magnitudes along the row nearest to depth_m.
-
-    Values are 20 log10(mag / image max) clamped to [-dynamic_range, 0],
-    so a constant image gives a flat 0 dB profile.
-    """
-    row = depth_row(env.grid, depth_m)
-    if dynamic_range_db <= 0:
-        raise InvalidConfig("dynamic range must be positive")
-    mag = env.magnitude()
-    peak = float(mag.max())
-    if peak <= 0:
-        raise AllZeroImage("cannot log-compress an all-zero image")
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(mag[row] / peak)
-    return np.maximum(db, -dynamic_range_db)
-
-
-@dataclass(frozen=True)
-class PointMeasure:
-    row: int
-    col: int
-    depth_m: float
-    lateral_m: float
-    lateral_fwhm_m: float
-    axial_fwhm_m: float
-
-
-@dataclass
-class ResolutionReport:
-    points: list[PointMeasure]
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("row,col,depth_m,lateral_m,lateral_fwhm_m,axial_fwhm_m\n")
-        for pt in self.points:
-            out.write(
-                f"{pt.row},{pt.col},{pt.depth_m!r},{pt.lateral_m!r},"
-                f"{pt.lateral_fwhm_m!r},{pt.axial_fwhm_m!r}\n"
-            )
-        return out.getvalue()
-
-
-def resolution_report(env: EnvelopeImage, min_rel_height: float = 0.25,
-                      neighborhood: int = 2) -> ResolutionReport:
-    """Locate bright point targets and measure lateral and axial FWHM.
-
-    A pixel is a peak when it is the maximum of its (2n+1)^2 window (ties
-    keep only the first in scan order) and at least min_rel_height of the
-    image max. Measures walk outward from the peak along its row and
-    column; points without a half-maximum crossing are skipped.
-    """
-    grid = env.grid
-    mag = env.magnitude()
-    peak = float(mag.max())
-    if peak <= 0:
-        raise AllZeroImage("no energy in image")
-    if not 0 < min_rel_height <= 1:
-        raise InvalidConfig("min_rel_height must be in (0, 1]")
-    n = neighborhood
-    points: list[PointMeasure] = []
-    for r, c in np.argwhere(mag >= min_rel_height * peak):
-        window = mag[max(0, r - n):r + n + 1, max(0, c - n):c + n + 1]
-        if mag[r, c] < window.max():
-            continue
-        tie = np.argwhere(window == mag[r, c])
-        if len(tie) > 1 and (tie[0][0] + max(0, r - n), tie[0][1] + max(0, c - n)) != (r, c):
-            continue
-        try:
-            lat = _fwhm_from(mag[r, :], int(c), grid.col_spacing_m)
-            axi = _fwhm_from(mag[:, c], int(r), grid.row_spacing_m)
-        except NoCrossing:
-            continue
-        points.append(
-            PointMeasure(
-                row=int(r),
-                col=int(c),
-                depth_m=float(grid.row_depths[r]),
-                lateral_m=float(grid.col_positions[c]),
-                lateral_fwhm_m=lat,
-                axial_fwhm_m=axi,
-            )
-        )
-    if not points:
-        raise NoPeak("no qualifying point targets found")
-    points.sort(key=lambda p: (p.depth_m, p.lateral_m))
-    return ResolutionReport(points=points)

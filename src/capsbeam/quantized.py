@@ -52,7 +52,6 @@ from .errors import (
     EmptyCalibration,
     InvalidConfig,
     MissingScale,
-    ShapeMismatch,
 )
 
 INT16_MIN, INT16_MAX = -32768, 32767
@@ -167,16 +166,6 @@ def _softmax_rows(raw, f: int) -> np.ndarray:
     return saturate16(c).astype(np.int16)
 
 
-def fixed_softmax(logits: list[FixedPoint16]) -> list[FixedPoint16]:
-    if not logits:
-        raise ShapeMismatch("softmax over an empty row")
-    f = logits[0].scale_exp
-    if any(x.scale_exp != f for x in logits):
-        raise InvalidConfig("softmax inputs must share one scale")
-    raws = _softmax_rows(np.array([x.raw for x in logits]), f)
-    return [FixedPoint16(raw=int(r), scale_exp=f) for r in raws]
-
-
 def _isqrt_exact(n2: np.ndarray) -> np.ndarray:
     """Exact floor square root for non-negative int64 values."""
     root = np.floor(np.sqrt(n2.astype(np.float64))).astype(np.int64)
@@ -187,22 +176,14 @@ def _isqrt_exact(n2: np.ndarray) -> np.ndarray:
 
 def _squash_rows(raw, f: int) -> np.ndarray:
     """Squash along the last axis of int16 raws at scale f."""
+    if f < 0:
+        raise InvalidConfig("squash needs a non-negative fraction width")
     s = np.asarray(raw, dtype=np.int64)
     n2 = saturate32(np.sum(s * s, axis=-1, keepdims=True))
     norm = _isqrt_exact(n2)
     num = s * n2 << f
     den = ((np.int64(1) << (2 * f)) + n2) * np.maximum(norm, 1)
     return saturate16(_divide_round_half_away(num, den)).astype(np.int16)
-
-
-def fixed_squash(s: list[FixedPoint16]) -> list[FixedPoint16]:
-    if not s:
-        raise ShapeMismatch("squash of an empty vector")
-    f = s[0].scale_exp
-    if any(x.scale_exp != f for x in s):
-        raise InvalidConfig("squash inputs must share one scale")
-    raws = _squash_rows(np.array([x.raw for x in s]), f)
-    return [FixedPoint16(raw=int(r), scale_exp=f) for r in raws]
 
 
 # calibration ------------------------------------------------------------------

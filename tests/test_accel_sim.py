@@ -349,12 +349,13 @@ def test_routing_ops_charge_agreement_every_iteration():
     # The cycle/ops ledger bills the agreement stage in all iterations;
     # the FLOP accountant skips it after the last. The difference is one
     # agreement pass: 2 * n_in * n_out * d.
-    from capsbeam.accel_sim import _routing_ops_per_pixel
+    from capsbeam.accel_sim import _routing_report
     from capsbeam.capsnet import RoutingCfg
 
     for n_in, n_out, d, iters in ((8, 8, 8, 3), (2, 4, 4, 2), (3, 1, 5, 1)):
-        ledger = _routing_ops_per_pixel(n_in, n_out, d, iters)
-        flops = routing_flops_per_pixel(RoutingCfg(n_in, d, n_out, d, iters))
+        routing = RoutingCfg(n_in, d, n_out, d, iters)
+        ledger = _routing_report(1, routing, AccelConfig()).ops
+        flops = routing_flops_per_pixel(routing)
         assert ledger - flops == 2 * n_in * n_out * d
 
 

@@ -301,7 +301,6 @@ def test_config_chain_validation():
     with pytest.raises(InvalidConfig):
         RoutingCfg(2, 4, 2, 3).validate()  # in_dim != out_dim
     cfg = toy_config()
-    assert cfg.receptive_field == 7  # three 3x3 stages + one 1x1
     assert cfg.layer_names() == [
         "conv0", "conv1", "caps0", "caps1", "fc0", "fc1", "fc2", "fc3",
     ]

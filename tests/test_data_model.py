@@ -76,7 +76,7 @@ def test_negative_scale_exp_survives_round_trip(tmp_path):
     write_tensor_file(t, path)
     back = read_tensor_file(path)
     assert back.scale_exp == -3
-    assert back.bit_equal(t)
+    assert back.tobytes() == t.tobytes()
 
 
 def test_bad_magic(tmp_path):
@@ -146,7 +146,7 @@ def test_tensor_round_trip_property(tmp_path_factory, dims, fixed, scale, seed):
     assert back.dims == t.dims
     assert back.dtype == t.dtype
     assert back.scale_exp == t.scale_exp
-    assert back.bit_equal(t)
+    assert back.tobytes() == t.tobytes()
 
 
 def test_bundle_round_trip_preserves_order_and_metadata(tmp_path):
@@ -159,7 +159,7 @@ def test_bundle_round_trip_preserves_order_and_metadata(tmp_path):
     back = read_bundle_file(path)
     assert list(back.entries) == ["b.weight", "a.weight"]
     assert back.metadata == {"init_seed": "9"}
-    assert back.entries["a.weight"].bit_equal(bundle.entries["a.weight"])
+    assert back.entries["a.weight"].tobytes() == bundle.entries["a.weight"].tobytes()
     assert bundle_hash(back) == bundle_hash(bundle)
 
 

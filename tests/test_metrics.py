@@ -1,4 +1,4 @@
-"""Image-quality metrics: FWHM, CR, CNR, gCNR, profiles, point reports.
+"""Image-quality metrics: FWHM, CR, CNR, gCNR and depth lookup.
 
 Contrast figures are verified on hand-built envelopes where the region
 populations are known exactly (two-pixel rectangles make means and
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from capsbeam.data_model import EnvelopeImage, PixelGrid
 from capsbeam.errors import (
-    AllZeroImage,
     DepthOutOfRange,
     EmptyRegion,
     InvalidConfig,
@@ -35,8 +34,6 @@ from capsbeam.metrics import (
     depth_row,
     fwhm,
     gcnr,
-    lateral_profile,
-    resolution_report,
 )
 
 GRID = PixelGrid(num_rows=16, num_cols=16, row_spacing_m=1e-3,
@@ -229,37 +226,7 @@ def test_gcnr_in_unit_interval(seed):
     assert 0.0 <= g <= 1.0
 
 
-# ---------------------------------------------------------------- profiles
-
-
-def test_lateral_profile_constant_is_zero_db():
-    env = _env(np.full((16, 16), 0.7))
-    prof = lateral_profile(env, depth_m=5.0e-3)
-    np.testing.assert_array_equal(prof, np.zeros(16))
-
-
-def test_lateral_profile_peak_location_and_clamp():
-    mag = np.full((16, 16), 1e-6)
-    mag[6, 5] = 1.0
-    mag[6, 10] = 0.25
-    env = _env(mag)
-    prof = lateral_profile(env, depth_m=6.0e-3, dynamic_range_db=40.0)
-    assert int(np.argmax(prof)) == 5
-    assert prof[5] == 0.0
-    np.testing.assert_allclose(prof[10], 20.0 * np.log10(0.25), atol=1e-5)
-    assert prof.min() == -40.0  # the 1e-6 floor clamps
-
-
-def test_lateral_profile_errors():
-    env = _env(np.ones((16, 16)))
-    with pytest.raises(DepthOutOfRange):
-        lateral_profile(env, depth_m=-1.0e-3)
-    with pytest.raises(DepthOutOfRange):
-        lateral_profile(env, depth_m=16.0e-3)
-    with pytest.raises(InvalidConfig):
-        lateral_profile(env, depth_m=5.0e-3, dynamic_range_db=0.0)
-    with pytest.raises(AllZeroImage):
-        lateral_profile(_env(np.zeros((16, 16))), depth_m=5.0e-3)
+# ---------------------------------------------------------------- depth lookup
 
 
 def test_depth_row_is_nearest_and_checked():
@@ -271,52 +238,3 @@ def test_depth_row_is_nearest_and_checked():
     for depth in (-1.0e-6, 15.1e-3, float("nan"), float("inf")):
         with pytest.raises(DepthOutOfRange):
             depth_row(GRID, depth)
-
-
-# ---------------------------------------------------------------- point report
-
-
-def _gaussian_blob(mag, row, col, amp, sr, sc):
-    rr, cc = np.mgrid[0:mag.shape[0], 0:mag.shape[1]]
-    mag += amp * np.exp(-((rr - row) ** 2) / (2 * sr**2)
-                        - ((cc - col) ** 2) / (2 * sc**2))
-
-
-def test_resolution_report_two_points():
-    grid = PixelGrid(num_rows=64, num_cols=64, row_spacing_m=0.5e-3,
-                     col_spacing_m=1.0e-3, depth_origin_m=0.0)
-    mag = np.zeros((64, 64))
-    _gaussian_blob(mag, 15, 20, 1.0, sr=2.0, sc=3.0)
-    _gaussian_blob(mag, 40, 45, 0.5, sr=2.0, sc=2.0)
-    _gaussian_blob(mag, 55, 10, 0.1, sr=2.0, sc=2.0)  # below min_rel_height
-    report = resolution_report(_env(mag, grid))
-    assert len(report.points) == 2
-    first, second = report.points
-    assert (first.row, first.col) == (15, 20)
-    assert (second.row, second.col) == (40, 45)
-    k = 2.3548200450309493
-    np.testing.assert_allclose(first.axial_fwhm_m, 2.0 * k * 0.5e-3, rtol=0.05)
-    np.testing.assert_allclose(first.lateral_fwhm_m, 3.0 * k * 1.0e-3, rtol=0.05)
-    np.testing.assert_allclose(second.lateral_fwhm_m, 2.0 * k * 1.0e-3, rtol=0.05)
-    csv = report.to_csv().strip().splitlines()
-    assert csv[0] == "row,col,depth_m,lateral_m,lateral_fwhm_m,axial_fwhm_m"
-    assert len(csv) == 3
-
-
-def test_resolution_report_lower_threshold_finds_faint_point():
-    grid = PixelGrid(num_rows=64, num_cols=64, row_spacing_m=0.5e-3,
-                     col_spacing_m=1.0e-3, depth_origin_m=0.0)
-    mag = np.zeros((64, 64))
-    _gaussian_blob(mag, 15, 20, 1.0, sr=2.0, sc=3.0)
-    _gaussian_blob(mag, 55, 10, 0.1, sr=2.0, sc=2.0)
-    report = resolution_report(_env(mag, grid), min_rel_height=0.05)
-    assert len(report.points) == 2
-
-
-def test_resolution_report_errors():
-    with pytest.raises(AllZeroImage):
-        resolution_report(_env(np.zeros((16, 16))))
-    with pytest.raises(NoPeak):
-        resolution_report(_env(np.ones((16, 16))))  # flat: no crossings anywhere
-    with pytest.raises(InvalidConfig):
-        resolution_report(_env(np.ones((16, 16))), min_rel_height=0.0)

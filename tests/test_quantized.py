@@ -33,11 +33,11 @@ from capsbeam.quantized import (
     FixedPoint16,
     QuantPlan,
     _int_conv,
+    _softmax_rows,
+    _squash_rows,
     calibrate,
     dequantize_array,
     exp_taylor5,
-    fixed_softmax,
-    fixed_squash,
     infer_quantized,
     plan_from_bundle,
     plan_to_entries,
@@ -206,17 +206,16 @@ def test_exp_taylor_tracks_reference_inside_domain():
 
 def test_fixed_softmax_uniform_is_exact():
     f = 12
-    logits = [quantize(0.3, f)] * 4
-    out = fixed_softmax(logits)
-    assert [o.raw for o in out] == [1024] * 4
-    assert [o.value for o in out] == [0.25] * 4
+    out = _softmax_rows([quantize(0.3, f).raw] * 4, f)
+    assert out.tolist() == [1024] * 4
+    assert dequantize_array(out, f).tolist() == [0.25] * 4
 
 
 def test_fixed_softmax_two_to_one():
     f = 12
-    out = fixed_softmax([quantize(np.log(2.0), f), quantize(0.0, f)])
-    assert abs(out[0].value - 2.0 / 3.0) < 0.01
-    assert abs(out[1].value - 1.0 / 3.0) < 0.01
+    out = dequantize_array(_softmax_rows(quantize_array([np.log(2.0), 0.0], f), f), f)
+    assert abs(out[0] - 2.0 / 3.0) < 0.01
+    assert abs(out[1] - 1.0 / 3.0) < 0.01
 
 
 def test_fixed_softmax_sums_near_one():
@@ -224,16 +223,9 @@ def test_fixed_softmax_sums_near_one():
     f = 12
     for _ in range(50):
         n = int(rng.integers(2, 9))
-        logits = [quantize(float(v), f) for v in rng.uniform(-1.5, 1.5, n)]
-        total = sum(o.raw for o in fixed_softmax(logits))
+        logits = quantize_array(rng.uniform(-1.5, 1.5, n), f)
+        total = int(_softmax_rows(logits, f).astype(np.int64).sum())
         assert abs(total - 2**f) <= n
-
-
-def test_fixed_softmax_validation():
-    with pytest.raises(ShapeMismatch):
-        fixed_softmax([])
-    with pytest.raises(InvalidConfig):
-        fixed_softmax([quantize(0.0, 12), quantize(0.0, 11)])
 
 
 # ---------------------------------------------------------------- squash
@@ -241,14 +233,13 @@ def test_fixed_softmax_validation():
 
 def test_fixed_squash_unit_vector_halves():
     f = 12
-    out = fixed_squash([quantize(1.0, f), quantize(0.0, f), quantize(0.0, f)])
-    assert [o.raw for o in out] == [2048, 0, 0]
-    assert abs(out[0].value - 0.5) <= 2.0 ** -(f - 3)
+    out = _squash_rows(quantize_array([1.0, 0.0, 0.0], f), f)
+    assert out.tolist() == [2048, 0, 0]
+    assert abs(dequantize_array(out[0], f) - 0.5) <= 2.0 ** -(f - 3)
 
 
 def test_fixed_squash_zero_is_zero():
-    out = fixed_squash([quantize(0.0, 12)] * 4)
-    assert all(o.raw == 0 for o in out)
+    assert not _squash_rows(np.zeros(4, dtype=np.int16), 12).any()
 
 
 def test_fixed_squash_norm_below_one_in_calibrated_domain():
@@ -260,10 +251,8 @@ def test_fixed_squash_norm_below_one_in_calibrated_domain():
     worst = 0.0
     for _ in range(2000):
         n = int(rng.integers(1, 9))
-        raws = rng.integers(-16384, 16385, n)
-        vec = [FixedPoint16(raw=int(r), scale_exp=f) for r in raws]
-        out = fixed_squash(vec)
-        worst = max(worst, float(np.linalg.norm([o.value for o in out])))
+        out = _squash_rows(rng.integers(-16384, 16385, n), f)
+        worst = max(worst, float(np.linalg.norm(dequantize_array(out, f))))
     assert worst < 1.0
 
 
@@ -271,15 +260,8 @@ def test_fixed_squash_energy_saturation_is_clamped():
     # Outside the calibrated domain the energy accumulator clamps at
     # int32 max (2147483647, isqrt 46340) and the under-divided result
     # may exceed unit norm; frozen example documents the boundary.
-    out = fixed_squash([FixedPoint16(raw=-32768, scale_exp=12)] * 6)
-    assert [o.raw for o in out] == [-2874] * 6
-
-
-def test_fixed_squash_validation():
-    with pytest.raises(ShapeMismatch):
-        fixed_squash([])
-    with pytest.raises(InvalidConfig):
-        fixed_squash([quantize(0.1, 12), quantize(0.1, 13)])
+    out = _squash_rows(np.full(6, -32768, dtype=np.int16), 12)
+    assert out.tolist() == [-2874] * 6
 
 
 # ---------------------------------------------------------------- plans / bundles
@@ -359,6 +341,32 @@ def test_infer_quantized_tracks_float(toy_cfg, toy_weights, toy_rf):
     got = infer_quantized(toy_rf, toy_cfg, qb)
     assert np.max(np.abs(got.i_part - ref.i_part)) <= 2.0**-7
     assert np.max(np.abs(got.q_part - ref.q_part)) <= 2.0**-7
+
+
+def test_infer_quantized_tracks_float_on_a_signal(toy_cfg, loud_toy_weights, wide_rf):
+    # Unlike the toy case above, whose fixed-point output is all zero,
+    # this output carries signal: an all-zero output fails here.
+    plan = calibrate(loud_toy_weights, [wide_rf], toy_cfg)
+    got = infer_quantized(wide_rf, toy_cfg, quantize_bundle(loud_toy_weights, plan))
+    ref = infer(wide_rf, toy_cfg, loud_toy_weights)
+    got_iq = np.stack([got.i_part, got.q_part])
+    ref_iq = np.stack([ref.i_part, ref.q_part])
+    dev = float(np.max(np.abs(got_iq - ref_iq)))
+    assert dev <= 2.0**-7
+    assert dev <= 0.01 * float(np.max(np.abs(ref_iq)))
+    assert np.unique(got_iq).size >= 1000
+
+
+def test_infer_quantized_rejects_a_negative_squash_scale(toy_cfg, toy_weights, toy_grid):
+    # RF of standard deviation 1e4 calibrates caps0.pre to f = -1; a
+    # squash at that scale would round every output to zero.
+    rng = np.random.default_rng(7)
+    samples = rng.normal(scale=1e4, size=(16, 16, 8)).astype(np.float32)
+    rf = RfVolume(grid=toy_grid, num_channels=8, samples=samples)
+    plan = calibrate(toy_weights, [rf], toy_cfg)
+    assert plan.scale("caps0.pre") < 0
+    with pytest.raises(InvalidConfig):
+        infer_quantized(rf, toy_cfg, quantize_bundle(toy_weights, plan))
 
 
 def test_infer_quantized_deterministic(toy_cfg, toy_weights, toy_rf):
