@@ -1,14 +1,17 @@
 """Classical beamformers and image-chain post-processing.
 
-DAS is the normalized apodized channel sum. MVDR solves the loaded
-spatial covariance per pixel over overlapping subarrays with temporal
-(row) averaging, steering vector all-ones since delays are already
-applied. The subarray Gram of each input row is computed once, and the
-2K+1-row temporal window sums are built from prefix and suffix sums over
-fixed row chunks (van Herk/Gil-Werman), so no snapshot is gathered twice.
-Coherent compounding averages beamformed values across transmit angles
-pixel-wise. The envelope stage is a frequency-domain Hilbert transform
-down the rows, and log compression maps magnitudes to a clamped dB scale.
+DAS is the normalized apodized channel sum, cast to float64 a few rows at
+a time. MVDR solves the loaded spatial covariance per pixel over
+overlapping subarrays with temporal (row) averaging, steering vector
+all-ones since delays are already applied. Pixels in different columns
+share no MVDR work, so it runs in column blocks sized from a byte budget,
+split over workers. Within a block the subarray Gram of each input row is
+computed once, and the 2K+1-row temporal window sums are built from
+prefix and suffix sums over fixed row chunks (van Herk/Gil-Werman), so no
+snapshot is gathered twice. Coherent compounding averages beamformed
+values across transmit angles pixel-wise. The envelope stage is a
+frequency-domain Hilbert transform down the rows, and log compression
+maps magnitudes to a clamped dB scale.
 """
 
 from __future__ import annotations
@@ -33,6 +36,13 @@ from .errors import (
 )
 
 THREADS_ENV_VAR = "CAPSBEAM_THREADS"
+# Float64 bytes of one DAS block: two full-scale rows. The whole-volume
+# cast held 48 MB at default.ini.
+_DAS_BLOCK_BYTES = 1 << 18
+# Bytes of one MVDR column block's van Herk buffer, 2K+1 Grams [cols, L, L]:
+# 32 columns at the default L = 48, K = 7, so 2 workers take 2 blocks each
+# of a 128-column frame.
+_VAN_HERK_BYTES = 9_000_000
 
 
 def thread_budget() -> int:
@@ -52,9 +62,9 @@ def thread_budget() -> int:
 def run_ranges(n: int, fn, grain: int = 1) -> None:
     """Call fn(lo, hi) on contiguous ranges splitting [0, n), one per each of
     min(thread_budget(), n // grain) threads, so each thread gets at least grain
-    items; one range runs inline. MVDR, phantom and capsnet.walk's bands each
-    split once, at the top, and no fn calls run_ranges again. Worker errors
-    propagate."""
+    items; one range runs inline. MVDR's column blocks, phantom and
+    capsnet.walk's bands each split once, at the top, and no fn calls
+    run_ranges again. Worker errors propagate."""
     workers = min(thread_budget(), n // grain)
     if workers <= 1:
         return fn(0, n)
@@ -102,7 +112,11 @@ def das(rf: RfVolume, apodization: np.ndarray) -> BeamformedImage:
     denom = w.sum()
     if np.abs(w).sum() == 0.0 or denom == 0.0:
         raise ZeroWeightSum("apodization weights sum to zero")
-    values = rf.samples.astype(np.float64) @ w / denom
+    rows, cols, channels = rf.samples.shape
+    step = max(1, _DAS_BLOCK_BYTES // (cols * channels * 8))
+    values = np.empty((rows, cols))
+    for r in range(0, rows, step):
+        values[r:r + step] = rf.samples[r:r + step].astype(np.float64) @ w / denom
     return BeamformedImage(grid=rf.grid, values=values)
 
 
@@ -113,47 +127,56 @@ def _gram(row: np.ndarray, subarray_len: int) -> np.ndarray:
     return np.matmul(subs.transpose(0, 2, 1), subs)
 
 
-def _mvdr_pixels(rf_samples: np.ndarray, r0: int, window_sum: np.ndarray,
-                 params: MvdrParams) -> np.ndarray:
-    L = params.subarray_len
-    n_snap = (2 * params.temporal_half_window + 1) * (rf_samples.shape[2] - L + 1)
-    R = window_sum / n_snap
-    trace = np.trace(R, axis1=1, axis2=2)
-    load = params.diagonal_loading * trace / L
-    R = R + load[:, None, None] * np.eye(L)[None]
-    ones = np.ones((R.shape[0], L, 1))
-    try:
-        w_tilde = np.linalg.solve(R, ones)[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        zero = np.flatnonzero(trace == 0.0)
-        if zero.size:
-            raise SingularCovariance(
-                f"row {r0}, column {zero[0]}: all-zero window, covariance has zero trace"
-            ) from exc
-        raise SingularCovariance(f"row {r0}: covariance not solvable") from exc
-    denom = w_tilde.sum(axis=1)
-    bad = np.flatnonzero((denom == 0.0) | ~np.all(np.isfinite(w_tilde), axis=1))
-    if bad.size:
-        raise SingularCovariance(
-            f"row {r0}, column {bad[0]}: distortionless normalization failed")
-    w = w_tilde / denom[:, None]
-    center = sliding_window_view(rf_samples[r0].astype(np.float64), L, axis=1)
-    mean_sub = center.mean(axis=1)
-    return np.einsum("cl,cl->c", w, mean_sub)
+def _mvdr_row(samples: np.ndarray, r0: int, c0: int, A: np.ndarray,
+              params: MvdrParams) -> np.ndarray:
+    """Output row r0 of a column block starting at global column c0.
 
-
-def _mvdr_chunks(rf_samples: np.ndarray, first: int, stop: int, params: MvdrParams,
-                 out: np.ndarray) -> None:
-    """Output rows of chunks [first, stop) by the van Herk/Gil-Werman scheme.
-
-    Padded position p holds the Gram of row clip(p - K), and row r sums
-    positions r .. r + 2K. Positions fall in chunks of W = 2K + 1, so that
-    window is the suffix of r's chunk from r plus the prefix of the next
-    chunk up to r + 2K (just the whole chunk when r starts one). Suffixes
-    are summed backward and prefixes forward within a chunk, so a row's
-    bits depend only on r, not on how the chunks are split among workers.
+    A [cols, L+2, L+2] holds the row's window sum R in its top-left L x L
+    and ones in row and column L. R's diagonal is loaded in place, and
+    row and column L+1 take the centre row's mean subarray m, so A is R
+    bordered by B = [1, m] and D = diag(1/(eps p), 1/eps), p = tr(R)/L
+    after loading. The Cholesky factor's last two rows are then
+    y = G^-1 1 and z = G^-1 m, with R = G G^T, and the output
+    1'R^-1 m / 1'R^-1 1 is y.z / y.y: no triangular solve is needed, and
+    y.y > 0 once the factorization succeeds. D never changes y or z.
     """
-    rows = rf_samples.shape[0]
+    L = params.subarray_len
+    R = A[:, :L, :L]
+    trace = np.trace(R, axis1=1, axis2=2)
+    zero = np.flatnonzero(trace == 0.0)
+    if zero.size:
+        raise SingularCovariance(
+            f"row {r0}, column {c0 + zero[0]}: all-zero window, covariance has zero trace")
+    diag = np.arange(L)
+    R[:, diag, diag] += (params.diagonal_loading * trace / L)[:, None]
+    eps = np.finfo(np.float64).eps
+    A[:, L, L] = L / (eps * (1.0 + params.diagonal_loading) * trace)
+    A[:, L + 1, L + 1] = 1.0 / eps
+    A[:, L + 1, :L] = A[:, :L, L + 1] = sliding_window_view(
+        samples[r0].astype(np.float64), L, axis=1).mean(axis=1)
+    try:
+        factor = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance(
+            f"row {r0}: covariance singular to working precision") from exc
+    y, z = factor[:, L, :L], factor[:, L + 1, :L]
+    return np.einsum("cl,cl->c", y, z) / np.einsum("cl,cl->c", y, y)
+
+
+def _mvdr_block(samples: np.ndarray, c0: int, params: MvdrParams, out: np.ndarray) -> None:
+    """Every output row of one column block by the van Herk/Gil-Werman scheme.
+
+    samples [rows, cols, channels] and out [rows, cols] are the block's
+    columns, c0 its first global column. Padded position p holds the Gram
+    of row clip(p - K), and row r sums positions r .. r + 2K. Positions
+    fall in chunks of W = 2K + 1, so that window is the suffix of r's chunk
+    from r plus the prefix of the next chunk up to r + 2K (just the whole
+    chunk when r starts one). Suffixes are summed backward and prefixes
+    forward within a chunk, and each column's Gram, factor and sums are
+    its own, so a pixel's bits depend neither on the block width nor on
+    the worker count.
+    """
+    rows, cols, _ = samples.shape
     L, K = params.subarray_len, params.temporal_half_window
     W = 2 * K + 1
     cached_row, cached_gram = -1, None
@@ -164,29 +187,36 @@ def _mvdr_chunks(rf_samples: np.ndarray, first: int, stop: int, params: MvdrPara
         nonlocal cached_row, cached_gram
         t = min(max(p - K, 0), rows - 1)
         if t != cached_row:
-            cached_row, cached_gram = t, _gram(rf_samples[t], L)
+            cached_row, cached_gram = t, _gram(samples[t], L)
         return cached_gram
 
     def to_suffix_sums():
         for i in range(W - 2, -1, -1):
             buf[i] += buf[i + 1]
 
-    # buf holds the suffix sums of chunk j; slot i - 1 is refilled with
-    # the Gram of chunk j + 1's position i - 1 once row jW + i is out.
-    buf = np.empty((W, rf_samples.shape[1], L, L))
+    A = np.zeros((cols, L + 2, L + 2))
+    A[:, L, :L] = A[:, :L, L] = 1.0
+    R = A[:, :L, :L]
+    prefix = np.empty((cols, L, L))
+    # buf holds the suffix sums of the current chunk; slot i - 1 is refilled
+    # with the Gram of the next chunk's position i - 1 once row base + i is out.
+    buf = np.empty((W, cols, L, L))
     for i in range(W):
-        buf[i] = gram_at(first * W + i)
+        buf[i] = gram_at(i)
     to_suffix_sums()
-    for j in range(first, stop):
-        base = j * W
-        out[base] = _mvdr_pixels(rf_samples, base, buf[0], params)
-        prefix = None
+    for base in range(0, rows, W):
+        R[...] = buf[0]
+        out[base] = _mvdr_row(samples, base, c0, A, params)
         for i in range(1, min(W, rows - base)):
             q = gram_at(base + W + i - 1)
-            prefix = q.copy() if prefix is None else np.add(prefix, q, out=prefix)
-            out[base + i] = _mvdr_pixels(rf_samples, base + i, buf[i] + prefix, params)
+            if i == 1:
+                prefix[...] = q
+            else:
+                prefix += q
+            np.add(buf[i], prefix, out=R)
+            out[base + i] = _mvdr_row(samples, base + i, c0, A, params)
             buf[i - 1] = q
-        if j + 1 < stop:
+        if base + W < rows:
             buf[W - 1] = gram_at(base + 2 * W - 1)
             to_suffix_sums()
 
@@ -194,24 +224,42 @@ def _mvdr_chunks(rf_samples: np.ndarray, first: int, stop: int, params: MvdrPara
 def mvdr(rf: RfVolume, params: MvdrParams) -> BeamformedImage:
     """Adaptive beamformer with subarray averaging and diagonal loading.
 
-    Per pixel the covariance pools the length-L channel windows of the
+    Per pixel the covariance R pools the length-L channel windows of the
     2K+1 temporally adjacent rows (edge rows clamp the window by index,
-    so the snapshot count stays (2K+1) * (channels - L + 1) everywhere).
+    so every pixel pools (2K+1) * G snapshots, G = channels - L + 1).
     Each input row's subarray Gram is formed once; the 2K+1-row window
     sums come from per-chunk prefix and suffix sums, which only add, so an
     all-zero window sums to exactly zero and raises SingularCovariance.
     Loading adds diagonal_loading * trace(R) / L to the diagonal. Weights
     solve R w = 1 and are normalized so w . 1 == 1; the output is the
-    weight response averaged over subarrays at the center row.
+    weight response to the subarrays' mean at the center row. R is left
+    unnormalized, since scaling it does not change the weights.
+
+    One bordered Cholesky per row of a column block gives the weights
+    (_mvdr_row). Its border D dominates: with loading delta > 0 and
+    p = tr(R)/L after loading, p * 1'R^-1 1 <= L (1 + delta) / delta, and
+    m'R^-1 m <= 1/G because R holds the centre row's sum_g x_g x_g^T,
+    which is at least G m m^T. So the border's Schur complement stays
+    positive definite whenever eps * (L (1 + delta) / delta + 1/G) < 1,
+    eps = 2^-52: for any delta above about L * eps, 1.1e-14 at L = 48.
+    Below that, and without loading, the factorization fails only when R
+    is singular to working precision. Either failure, like a zero trace,
+    raises SingularCovariance.
     """
     if params.subarray_len > rf.num_channels:
         raise InvalidConfig(
             f"subarray_len {params.subarray_len} exceeds {rf.num_channels} channels"
         )
-    rows = rf.grid.num_rows
-    out = np.empty((rows, rf.grid.num_cols), dtype=np.float64)
-    n_chunks = -(-rows // (2 * params.temporal_half_window + 1))
-    run_ranges(n_chunks, lambda lo, hi: _mvdr_chunks(rf.samples, lo, hi, params, out))
+    L, W = params.subarray_len, 2 * params.temporal_half_window + 1
+    rows, cols = rf.grid.num_rows, rf.grid.num_cols
+    width = max(1, _VAN_HERK_BYTES // (W * L * L * 8))
+    out = np.empty((rows, cols), dtype=np.float64)
+
+    def run(lo: int, hi: int) -> None:
+        for c0 in range(lo * width, min(hi * width, cols), width):
+            _mvdr_block(rf.samples[:, c0:c0 + width], c0, params, out[:, c0:c0 + width])
+
+    run_ranges(-(-cols // width), run)
     return BeamformedImage(grid=rf.grid, values=out)
 
 

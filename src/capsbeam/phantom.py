@@ -94,11 +94,16 @@ def _pulse_wave(t: np.ndarray, center_freq_hz: float) -> np.ndarray:
     return np.exp(-a * t * t) * np.cos(2 * np.pi * center_freq_hz * t)
 
 
+def _transmit_delay(geom: ProbeGeometry, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Time for the steered plane wave to reach (x, z)."""
+    theta, c = geom.transmit_angle_rad, geom.speed_of_sound_mps
+    return (z * np.cos(theta) + x * np.sin(theta)) / c
+
+
 def _delays(geom: ProbeGeometry, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Two-way time from the steered transmit to (x, z) and back, last axis per element."""
-    theta, c = geom.transmit_angle_rad, geom.speed_of_sound_mps
-    tau_tx = (z * np.cos(theta) + x * np.sin(theta)) / c
-    return tau_tx + np.hypot(x - geom.element_positions(), z) / c
+    return (_transmit_delay(geom, x, z)
+            + np.hypot(x - geom.element_positions(), z) / geom.speed_of_sound_mps)
 
 
 def _pulse_halfwidth_s(center_freq_hz: float) -> float:
@@ -211,6 +216,13 @@ def tof_correct(raw: np.ndarray, geom: ProbeGeometry, grid: PixelGrid) -> RfVolu
         )
     n_time, n_elem = raw.shape
     x, z = grid.col_positions[:, None], grid.row_depths[:, None, None]
+    # The return path hypot(x - e, z) depends on a column-element pair only
+    # through its lateral offset, and a regular grid and array share most
+    # offsets (605 distinct of 16,384 pairs at default.ini): evaluate it
+    # once per distinct offset and gather, with _delays' operations.
+    lateral = x - geom.element_positions()
+    offsets, which = np.unique(lateral, return_inverse=True)
+    which = which.reshape(lateral.shape)
     out = np.empty((grid.num_rows, grid.num_cols, n_elem), dtype=np.float32)
     # Taps outside the trace, and the one after its last sample, read zeros.
     flat = np.concatenate([raw, np.zeros((2, n_elem))], axis=0).ravel()
@@ -219,7 +231,10 @@ def tof_correct(raw: np.ndarray, geom: ProbeGeometry, grid: PixelGrid) -> RfVolu
     def correct(lo: int, hi: int) -> None:
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
-            pos = _delays(geom, x, z[start:stop]) * geom.sample_rate_hz
+            depth = z[start:stop]
+            back = np.hypot(offsets, depth[:, 0]) / geom.speed_of_sound_mps
+            pos = (_transmit_delay(geom, x, depth)
+                   + np.take(back, which, axis=1)) * geom.sample_rate_hz
             i0 = np.floor(pos).astype(np.int64)
             frac = pos - i0
             i0[(i0 < 0) | (i0 > n_time - 1)] = n_time

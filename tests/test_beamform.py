@@ -10,12 +10,14 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import capsbeam
+from capsbeam import beamform
 from capsbeam.beamform import (
     BeamformedImage,
     MvdrParams,
@@ -72,6 +74,36 @@ def test_das_zero_weight_sum():
         das(rf, np.zeros(3))
     with pytest.raises(ZeroWeightSum):
         das(rf, np.array([1.0, -1.0, 0.0]))
+
+
+def test_das_row_blocks_match_whole_volume_bytes():
+    # 64 rows of 48x48 channels run in 14-row blocks, the last one 8 rows.
+    samples = np.random.default_rng(6).standard_normal((64, 48, 48)).astype(np.float32)
+    w = np.hanning(50)[1:-1]
+    assert beamform._DAS_BLOCK_BYTES // (48 * 48 * 8) == 14
+    expected = samples.astype(np.float64) @ w / w.sum()
+    assert das(_rf(samples), w).values.tobytes() == expected.tobytes()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1] - out.values.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cols", [48, 96])
+def test_beamformers_peak_memory_does_not_grow_with_columns(monkeypatch, cols):
+    # Beside the output, DAS holds one float64 block and MVDR one column
+    # block: its van Herk buffer plus about a third for the prefix, Grams,
+    # bordered matrix and factor. The whole-frame versions held 1.2 MB
+    # (DAS) and 17.8 MB (MVDR) at 48 columns, and twice that at 96.
+    monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+    rf = _rf(np.random.default_rng(7).standard_normal((64, cols, 48)))
+    assert _peak_bytes(lambda: das(rf, np.ones(48))) <= 2 * beamform._DAS_BLOCK_BYTES
+    assert _peak_bytes(lambda: mvdr(rf, MvdrParams())) <= 1.5 * beamform._VAN_HERK_BYTES
 
 
 def test_das_apodization_shape():
@@ -173,18 +205,58 @@ def test_mvdr_thread_count_does_not_change_values(monkeypatch):
     np.testing.assert_array_equal(serial.values, threaded.values)
 
 
-def test_mvdr_bits_independent_of_chunk_split(monkeypatch):
-    # K=2 gives 5-row chunks, so 23 rows span five chunks and 2 or 3
-    # workers each start on a recomputed boundary chunk.
+def _block_columns(monkeypatch, params, width):
+    # A van Herk budget of exactly `width` columns' Grams.
+    W, L = 2 * params.temporal_half_window + 1, params.subarray_len
+    monkeypatch.setattr(beamform, "_VAN_HERK_BYTES", width * W * L * L * 8)
+
+
+def test_mvdr_bits_independent_of_workers_and_block_width(monkeypatch):
+    # 9 columns in blocks of 4 are three blocks, the last one column wide;
+    # 23 rows in K=2's 5-row chunks end in a 3-row chunk.
     rng = np.random.default_rng(8)
-    samples = rng.standard_normal((23, 4, 6)).astype(np.float32)
+    samples = rng.standard_normal((23, 9, 6)).astype(np.float32)
     params = MvdrParams(subarray_len=3, temporal_half_window=2)
-    results = []
+    whole = mvdr(_rf(samples), params).values.tobytes()
+    _block_columns(monkeypatch, params, 4)
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("CAPSBEAM_THREADS", threads)
-        results.append(mvdr(_rf(samples), params).values)
-    np.testing.assert_array_equal(results[0], results[1])
-    np.testing.assert_array_equal(results[0], results[2])
+        assert mvdr(_rf(samples), params).values.tobytes() == whole, f"{threads} threads"
+
+
+def test_mvdr_zero_window_names_its_global_column(monkeypatch):
+    # Column 7 is the second column of the third 3-column block.
+    rng = np.random.default_rng(10)
+    samples = rng.standard_normal((11, 9, 6)).astype(np.float32)
+    samples[4:7, 7] = 0.0
+    params = MvdrParams(subarray_len=3, temporal_half_window=1)
+    _block_columns(monkeypatch, params, 3)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+        with pytest.raises(SingularCovariance, match="row 5, column 7"):
+            mvdr(_rf(samples), params)
+
+
+@pytest.mark.parametrize("loading, scale", [(0.0, 1.0), (0.01, 1e20), (0.01, 1e-20)])
+def test_mvdr_matches_loop_reference_unloaded_and_at_any_scale(loading, scale):
+    # Without loading, the bordered Cholesky still matches on full-rank
+    # data; its border scales with tr(R), so RF at 1e+-20 matches the
+    # reference relative to that scale.
+    rng = np.random.default_rng(22)
+    samples = (rng.standard_normal((9, 4, 6)) * scale).astype(np.float32)
+    params = MvdrParams(subarray_len=3, temporal_half_window=1, diagonal_loading=loading)
+    out = mvdr(_rf(samples), params)
+    np.testing.assert_allclose(out.values / scale, _loop_reference(samples, params) / scale,
+                               rtol=0, atol=1e-10)
+
+
+def test_mvdr_single_snapshot_without_loading_is_singular():
+    # L = channels and K = 0 pool one snapshot per pixel: R = x x^T has
+    # rank one, and without loading the factorization must fail.
+    rng = np.random.default_rng(12)
+    rf = _rf(rng.standard_normal((4, 3, 5)))
+    with pytest.raises(SingularCovariance):
+        mvdr(rf, MvdrParams(subarray_len=5, temporal_half_window=0, diagonal_loading=0.0))
 
 
 def test_mvdr_zero_window_between_rows_is_singular(monkeypatch):

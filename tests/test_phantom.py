@@ -203,6 +203,38 @@ def test_tof_correct_matches_per_pixel_loop():
     np.testing.assert_array_equal(vol.samples, expected)
 
 
+def _tof_loop(raw, geom, grid):
+    c, fs = geom.speed_of_sound_mps, geom.sample_rate_hz
+    theta = geom.transmit_angle_rad
+    n_time = raw.shape[0]
+    expected = np.zeros((grid.num_rows, grid.num_cols, geom.num_elements), dtype=np.float32)
+    for r, z in enumerate(grid.row_depths):
+        for col, x in enumerate(grid.col_positions):
+            for e, xe in enumerate(geom.element_positions()):
+                tau = (z * np.cos(theta) + x * np.sin(theta)) / c + np.hypot(x - xe, z) / c
+                i0 = int(np.floor(tau * fs))
+                if 0 <= i0 <= n_time - 1:
+                    b = raw[i0 + 1, e] if i0 + 1 <= n_time - 1 else 0.0
+                    frac = tau * fs - i0
+                    expected[r, col, e] = (1.0 - frac) * raw[i0, e] + frac * b
+    return expected
+
+
+def test_tof_correct_matches_loop_off_the_element_pitch():
+    # At a 0.22 mm column spacing against the 0.3 mm pitch no two
+    # column-element pairs share a lateral offset; the loop test above, at
+    # the pitch, has pairs that do.
+    geom = ProbeGeometry(num_elements=5, transmit_angle_rad=-0.08)
+    grid = PixelGrid(num_rows=9, num_cols=6, row_spacing_m=1.5e-4,
+                     col_spacing_m=2.2e-4, depth_origin_m=3.0e-3)
+    offsets = grid.col_positions[:, None] - geom.element_positions()
+    assert np.unique(offsets).size == 30
+    raw = np.random.default_rng(13).standard_normal((160, 5))
+    vol = tof_correct(raw, geom, grid)
+    assert (vol.samples != 0.0).any() and (vol.samples == 0.0).any()
+    np.testing.assert_array_equal(vol.samples, _tof_loop(raw, geom, grid))
+
+
 def test_tof_correct_out_of_window_is_zero(probe8):
     # 64 samples cover ~1.6 mm two-way; a 30 mm grid has no valid delays.
     grid = PixelGrid(num_rows=4, num_cols=4, depth_origin_m=30.0e-3)
