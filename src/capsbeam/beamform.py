@@ -10,8 +10,8 @@ computed once, and the 2K+1-row temporal window sums are built from
 prefix and suffix sums over fixed row chunks (van Herk/Gil-Werman), so no
 snapshot is gathered twice. Coherent compounding averages beamformed
 values across transmit angles pixel-wise. The envelope stage is a
-frequency-domain Hilbert transform down the rows, and log compression
-maps magnitudes to a clamped dB scale.
+frequency-domain Hilbert transform down the rows on numpy.fft, and log
+compression maps magnitudes to a clamped dB scale.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data_model import EnvelopeImage, PixelGrid, RfVolume, require_finite_fields
@@ -275,26 +274,36 @@ def compound(images: list[BeamformedImage]) -> BeamformedImage:
     return BeamformedImage(grid=grid, values=stacked.mean(axis=0))
 
 
-def envelope(image: BeamformedImage) -> EnvelopeImage:
-    """Analytic signal down each column via zero-padded FFT Hilbert.
+def _analytic(values: np.ndarray) -> np.ndarray:
+    """Analytic signal down the rows of a [rows, cols] image, complex128.
 
     The FFT length is the next power of two at or above the row count,
-    which bounds circular wrap at the edges. The in-phase part is the
-    input itself; quadrature is the Hilbert transform.
+    which bounds circular wrap at the edges. These are the steps of
+    scipy.signal.hilbert(values, N=nfft, axis=0)[:rows] for even N. The
+    bins above nfft/2 are zeroed, so the real-input rfft gives every bin
+    kept; it is also the transform scipy.fft.fft runs on real input, so
+    the result matches scipy's bit for bit where numpy.fft.fft's complex
+    transform would differ in the last bits.
     """
-    rows = image.grid.num_rows
-    if rows < 4:
-        raise ShapeMismatch("envelope needs at least 4 rows")
+    rows = values.shape[0]
     nfft = 1 << (rows - 1).bit_length()
-    # scipy.signal.hilbert's steps for even N, without importing scipy.signal.
-    spectrum = scipy.fft.fft(image.values, nfft, axis=0)
+    spectrum = np.zeros((nfft,) + values.shape[1:], dtype=np.complex128)
+    spectrum[:nfft // 2 + 1] = np.fft.rfft(values, nfft, axis=0)
     spectrum[1:nfft // 2] *= 2.0
-    spectrum[nfft // 2 + 1:] = 0.0
-    analytic = scipy.fft.ifft(spectrum, axis=0)[:rows]
+    return np.fft.ifft(spectrum, axis=0)[:rows]
+
+
+def envelope(image: BeamformedImage) -> EnvelopeImage:
+    """Analytic signal down each column via zero-padded FFT Hilbert
+    (_analytic). The in-phase part is the input itself; quadrature is the
+    Hilbert transform.
+    """
+    if image.grid.num_rows < 4:
+        raise ShapeMismatch("envelope needs at least 4 rows")
     return EnvelopeImage(
         grid=image.grid,
         i_part=image.values.astype(np.float32),
-        q_part=analytic.imag.astype(np.float32),
+        q_part=_analytic(image.values).imag.astype(np.float32),
     )
 
 

@@ -38,12 +38,12 @@ from .data_model import (
     RfVolume,
     Tensor,
     WeightBundle,
+    bundle_chunks,
     count_flops,
     count_params,
     read_bundle_file,
     read_tensor_file,
-    write_bundle_file,
-    write_tensor_file,
+    write_chunks,
 )
 from .errors import (
     GridMismatch,
@@ -70,32 +70,26 @@ class _OutDir:
         self.config_hash = config_hash
         self.lines: list[str] = []
 
-    def _record(self, name: str, payload: bytes) -> None:
-        digest = hashlib.sha256(payload).hexdigest()[:12]
-        self.lines.append(
-            f"{name}\tsha256:{digest}\tcapsbeam/{__version__}\tconfig:{self.config_hash}"
-        )
-
-    def write_bytes(self, name: str, payload: bytes) -> Path:
+    def write(self, name: str, chunks) -> Path:
+        """Write chunks to name and record their sha256 in the manifest;
+        the bytes are serialized once and never read back."""
         path = self.root / name
-        path.write_bytes(payload)
-        self._record(name, payload)
+        write_chunks(chunks, path)
+        digest = hashlib.sha256()
+        for chunk in chunks:
+            digest.update(chunk)
+        self.lines.append(f"{name}\tsha256:{digest.hexdigest()[:12]}"
+                          f"\tcapsbeam/{__version__}\tconfig:{self.config_hash}")
         return path
 
     def write_text(self, name: str, text: str) -> Path:
-        return self.write_bytes(name, text.encode())
+        return self.write(name, [text.encode()])
 
     def write_tensor(self, name: str, tensor: Tensor) -> Path:
-        path = self.root / name
-        write_tensor_file(tensor, str(path))
-        self._record(name, path.read_bytes())
-        return path
+        return self.write(name, tensor.chunks())
 
     def write_bundle(self, name: str, bundle: WeightBundle) -> Path:
-        path = self.root / name
-        write_bundle_file(bundle, str(path))
-        self._record(name, path.read_bytes())
-        return path
+        return self.write(name, bundle_chunks(bundle))
 
     def finish(self) -> None:
         """Merge this run's lines into manifest.txt: a file written again
@@ -147,7 +141,7 @@ def _write_image_set(out: _OutDir, stem: str, env: EnvelopeImage, cfg: RunConfig
     db = beamform.log_compress(env, cfg.dynamic_range_db)
     pgm = io.BytesIO()
     beamform.write_pgm(db, cfg.dynamic_range_db, pgm)
-    out.write_bytes(f"{stem}.pgm", pgm.getvalue())
+    out.write(f"{stem}.pgm", [pgm.getvalue()])
 
 
 def _float_bundle(bundle: WeightBundle, cfg: RunConfig) -> WeightBundle:
@@ -416,11 +410,10 @@ def _cmd_report(args) -> int:
         out.write_tensor(f"rf_angle{i}.cbtf", Tensor.from_array(rf.samples))
         rf_volumes.append(rf)
 
-    das_img = beamform.das(rf_volumes[center], np.ones(cfg.probe.num_elements))
+    das_imgs = [beamform.das(rf, np.ones(cfg.probe.num_elements)) for rf in rf_volumes]
+    das_img = das_imgs[center]
     mvdr_img = beamform.mvdr(rf_volumes[center], cfg.mvdr)
-    comp_img = beamform.compound(
-        [beamform.das(rf, np.ones(cfg.probe.num_elements)) for rf in rf_volumes]
-    )
+    comp_img = beamform.compound(das_imgs)
     envs = {
         "das": beamform.envelope(das_img),
         "mvdr": beamform.envelope(mvdr_img),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import json
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -324,8 +325,18 @@ def parse_config_text(text: str, origin: str = "<string>") -> RunConfig:
     if parser.has_section("regions"):
         kwargs["regions"] = _parse_regions(parser["regions"])
 
-    kwargs["config_hash"] = hashlib.sha256(text.encode()).hexdigest()[:12]
+    kwargs["config_hash"] = _settings_hash(parser)
     return RunConfig(**kwargs)
+
+
+def _settings_hash(parser: configparser.ConfigParser) -> str:
+    """Short sha256 of the parsed sections, keys and values in file order,
+    so comments, blank lines and spacing leave it unchanged. Whitespace
+    inside a value is dropped too: every value grammar above strips it
+    or splits on punctuation, so it never changes a setting."""
+    canonical = [[name, [[key, "".join(value.split())] for key, value in parser[name].items()]]
+                 for name in parser.sections()]
+    return hashlib.sha256(json.dumps(canonical).encode()).hexdigest()[:12]
 
 
 def load_config(path: str) -> RunConfig:

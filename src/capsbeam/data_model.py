@@ -105,8 +105,9 @@ class Tensor:
         dims = arr.shape if arr.ndim > 0 else (1,)
         return cls(dims=dims, dtype=dtype, data=arr.reshape(dims), scale_exp=scale_exp)
 
-    def tobytes(self) -> bytes:
-        """Serialize to a complete tensor record."""
+    def chunks(self) -> list:
+        """The tensor record as two chunks: the header with the dims, then
+        the payload as a byte view of data, not a copy."""
         header = _FIXED_HEADER.pack(
             TENSOR_MAGIC,
             FORMAT_VERSION,
@@ -116,7 +117,11 @@ class Tensor:
             b"\x00\x00",
         )
         dims = struct.pack(f"<{len(self.dims)}Q", *self.dims)
-        return header + dims + self.data.tobytes(order="C")
+        return [header + dims, memoryview(self.data).cast("B")]
+
+    def tobytes(self) -> bytes:
+        """Serialize to a complete tensor record."""
+        return b"".join(self.chunks())
 
 
 def _parse_tensor(buf: bytes, offset: int, where: str) -> tuple[Tensor, int]:
@@ -154,12 +159,18 @@ def _parse_tensor(buf: bytes, offset: int, where: str) -> tuple[Tensor, int]:
     return tensor, payload_end
 
 
-def write_tensor_file(tensor: Tensor, path) -> None:
+def write_chunks(chunks, path) -> None:
+    """Write byte chunks to path in order."""
     try:
         with open(path, "wb") as fh:
-            fh.write(tensor.tobytes())
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise IoFailure(f"writing {path}: {exc}") from exc
+
+
+def write_tensor_file(tensor: Tensor, path) -> None:
+    write_chunks(tensor.chunks(), path)
 
 
 def read_tensor_file(path) -> Tensor:
@@ -209,7 +220,9 @@ def _utf8(raw: bytes, path, idx: int) -> str:
         ) from exc
 
 
-def write_bundle_file(bundle: WeightBundle, path) -> None:
+def bundle_chunks(bundle: WeightBundle) -> list:
+    """The bundle record, in the layout read_bundle_file parses, as byte
+    chunks to write in order; tensor payloads are views, not copies."""
     records = []
     for name, tensor in bundle.entries.items():
         if name.startswith(META_PREFIX):
@@ -217,19 +230,19 @@ def write_bundle_file(bundle: WeightBundle, path) -> None:
         records.append((name, tensor))
     for key in sorted(bundle.metadata):
         records.append((META_PREFIX + key, _meta_entry(key, bundle.metadata[key])))
-    blob = [BUNDLE_MAGIC, struct.pack("<II", FORMAT_VERSION, len(records))]
+    chunks = [BUNDLE_MAGIC, struct.pack("<II", FORMAT_VERSION, len(records))]
     for name, tensor in records:
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise InvalidConfig(f"entry name too long: {name[:32]!r}...")
-        blob.append(struct.pack("<H", len(encoded)))
-        blob.append(encoded)
-        blob.append(tensor.tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(blob))
-    except OSError as exc:
-        raise IoFailure(f"writing {path}: {exc}") from exc
+        chunks.append(struct.pack("<H", len(encoded)))
+        chunks.append(encoded)
+        chunks.extend(tensor.chunks())
+    return chunks
+
+
+def write_bundle_file(bundle: WeightBundle, path) -> None:
+    write_chunks(bundle_chunks(bundle), path)
 
 
 def read_bundle_file(path) -> WeightBundle:
@@ -277,7 +290,8 @@ def bundle_hash(bundle: WeightBundle) -> str:
     digest = hashlib.sha256()
     for name, tensor in bundle.entries.items():
         digest.update(name.encode())
-        digest.update(tensor.tobytes())
+        for chunk in tensor.chunks():
+            digest.update(chunk)
     return digest.hexdigest()[:12]
 
 

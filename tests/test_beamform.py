@@ -324,15 +324,32 @@ def test_thread_budget_parsing(monkeypatch):
         thread_budget()
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about a second to import; the package needs only
-    # scipy.fft, so importing every module must not pull it in.
-    code = ("import sys, capsbeam, capsbeam.cli; "
-            "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'")
+def test_package_loads_only_stdlib_and_numpy(tmp_path):
+    # Importing every module and running a report must load no top-level
+    # module but the stdlib's, numpy's and the package's own, so a heavy
+    # dependency (scipy.fft alone cost ~20 MB and ~0.2 s a process) can
+    # come back only on purpose. Modules that interpreter start-up loads
+    # (site hooks) are not the package's and are left out, as are the
+    # runtime shims that numpy.random's Cython extensions register.
+    desk = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
+    code = f"""
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import capsbeam
+for mod in pkgutil.iter_modules(capsbeam.__path__):
+    importlib.import_module("capsbeam." + mod.name)
+from capsbeam import cli
+assert cli.main(["report", "--config", {str(desk)!r}, "--out", {str(tmp_path)!r}]) == 0
+allowed = set(sys.stdlib_module_names) | {{"numpy", "capsbeam"}}
+extra = {{name.split(".")[0] for name in set(sys.modules) - before}} - allowed
+extra = {{name for name in extra if name != "cython_runtime" and not name.startswith("_cython_")}}
+assert not extra, sorted(extra)
+"""
     env = dict(os.environ, PYTHONPATH=str(Path(capsbeam.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert (tmp_path / "report.txt").is_file()
 
 
 # ---------------------------------------------------------------- compound
@@ -391,6 +408,19 @@ def test_envelope_pads_to_power_of_two():
     env = envelope(BeamformedImage(grid=grid, values=vals))
     assert env.i_part.shape == (6, 2)
     np.testing.assert_array_equal(env.i_part, vals.astype(np.float32))
+
+
+@pytest.mark.parametrize("rows", [6, 16, 23])
+def test_envelope_matches_scipy_hilbert(rows):
+    # scipy is a test-only oracle: the package runs the same steps on numpy.fft.
+    signal = pytest.importorskip("scipy.signal")
+    vals = np.random.default_rng(rows).standard_normal((rows, 5))
+    nfft = 1 << (rows - 1).bit_length()
+    ref = signal.hilbert(vals, N=nfft, axis=0)[:rows]
+    analytic = beamform._analytic(vals)
+    assert np.abs(analytic - ref).max() <= 1e-12 * np.abs(ref).max()
+    env = envelope(BeamformedImage(grid=PixelGrid(num_rows=rows, num_cols=5), values=vals))
+    np.testing.assert_array_equal(env.q_part, analytic.imag.astype(np.float32))
 
 
 def test_envelope_needs_rows():

@@ -7,6 +7,7 @@ short invocations.
 """
 
 import csv
+import hashlib
 import re
 from pathlib import Path
 
@@ -500,3 +501,11 @@ def test_report_pipeline(tmp_path):
     for stem in ("das", "mvdr", "compound", "capsnet", "capsnet_q"):
         assert (out / f"metrics_{stem}" / "metrics.csv").exists()
     assert f"capsnet.gcnr=" in text
+    # Each file is hashed as it is written, never read back: every manifest
+    # digest must still be the sha256 of the bytes on disk.
+    for manifest in out.rglob("manifest.txt"):
+        for line in manifest.read_text().splitlines():
+            name, digest = line.split("\t")[:2]
+            data = (manifest.parent / name).read_bytes()
+            assert digest == "sha256:" + hashlib.sha256(data).hexdigest()[:12], name
+    assert read_tensor_file(out / "rf_angle2.cbtf").tobytes() == (out / "rf_angle2.cbtf").read_bytes()

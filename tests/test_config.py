@@ -181,6 +181,22 @@ def test_config_hash_tracks_text():
     assert a.config_hash == parse_config_text("[grid]\nnum_rows = 32\n").config_hash
 
 
+def test_config_hash_ignores_comments_and_whitespace():
+    with open(DESK) as fh:
+        text = fh.read()
+    base = parse_config_text(text).config_hash
+    commented = "# another header line\n" + text.replace("[grid]\n", "[grid]\n; note\n")
+    spaced = (text.replace(" = ", "   =\t").replace("\n[", "\n\n\n[")
+              .replace("-0.86, -0.43, 0, 0.43, 0.86", "-0.86,-0.43,  0,0.43 ,0.86"))
+    assert spaced != text
+    assert parse_config_text(commented).config_hash == base
+    assert parse_config_text(spaced).config_hash == base
+    for edit in (("num_rows = 16", "num_rows = 17"), ("seed = 1234", "seed = 1235"),
+                 ("0.43, 0.86", "0.43, 0.87")):
+        assert edit[0] in text
+        assert parse_config_text(text.replace(*edit)).config_hash != base, edit
+
+
 def test_prune_method_checked():
     with pytest.raises(InvalidConfig, match=r"\[prune\] method"):
         parse_config_text("[prune]\nmethod = random\n")
