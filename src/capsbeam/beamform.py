@@ -62,8 +62,8 @@ def run_ranges(n: int, fn, grain: int = 1) -> None:
     """Call fn(lo, hi) on contiguous ranges splitting [0, n), one per each of
     min(thread_budget(), n // grain) threads, so each thread gets at least grain
     items; one range runs inline. MVDR's column blocks, phantom and
-    capsnet.walk's bands each split once, at the top, and no fn calls
-    run_ranges again. Worker errors propagate."""
+    capsnet.walk's pixel blocks each split once, at the top, and no fn
+    calls run_ranges again. Worker errors propagate."""
     workers = min(thread_budget(), n // grain)
     if workers <= 1:
         return fn(0, n)

@@ -6,18 +6,21 @@ ReLU, a capsule conv stack (conv, reshape to capsules, squash), per-pixel
 dynamic routing by agreement, then a chain of pointwise FC layers ending
 in 2 features. walk states that order once; float infer and
 quantized.infer_quantized run it with their own arithmetic. walk streams
-the frame in fixed bands of output rows, as the accelerator streams
+the frame through per-layer line buffers, as the accelerator streams
 kernel-height rows through each layer (the fused-layer dataflow): each
-band runs every layer, routing and fc on its own rows plus the
-receptive-field halo, and no layer is ever held for the whole frame. The
-bytes are the layer-by-layer order's, because conv2d is one gemm per
-image row however the rows are split, squash, routing and fc are per
-pixel, and quantization is elementwise. Routing predictions are the
-input capsules themselves broadcast over output capsules; there are no
-trained routing matrices, so in_dim must equal out_dim. Such predictions
-keep the coupling uniform, so both paths route them in closed form
-(_FloatArith.route); the accelerator ledger still bills every iteration.
-Inference only; training is out of scope.
+worker takes a contiguous range of fixed pixel blocks, and per block each
+conv computes only the rows whose receptive field is present, carrying
+its last kh - 1 input rows to the next block, before routing and fc run
+on the block. No layer is ever held for the whole frame, and a row is
+recomputed only at a seam between two workers. The bytes are the
+layer-by-layer order's, because conv2d is one gemm per image row however
+the rows arrive, squash, routing and fc are per pixel, and quantization
+is elementwise. Routing predictions are the input capsules themselves
+broadcast over output capsules; there are no trained routing matrices,
+so in_dim must equal out_dim. Such predictions keep the coupling
+uniform, so both paths route them in closed form (_FloatArith.route);
+the accelerator ledger still bills every iteration. Inference only;
+training is out of scope.
 
 Weight bundle naming: conv0.weight/conv0.bias, conv1.*, caps0.*, caps1.*,
 fc0.* .. fc3.*. Conv weights are [kh, kw, cin, cout] cross-correlation
@@ -29,6 +32,7 @@ layout, and layer_entries fetches one layer's checked entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,16 +43,15 @@ from .errors import InvalidConfig, ShapeMismatch
 
 # Bytes of one im2col copy. conv2d takes output rows in chunks of as many
 # whole rows as fit (at least one), one after another on the calling
-# thread, so this bounds the copy a band worker holds (32 rows of conv0 at
-# default.ini took 38 MB); a desk-size conv is one chunk.
+# thread, so this bounds the copy a worker holds (3 rows of conv0 at
+# default.ini, 3.5 MB); a desk-size conv is one chunk.
 _IM2COL_BYTES = 2**22
-# Pixels per routing + fc block, rounded down to whole image rows (at least
-# one), so every fc conv is one gemm per image row as on a whole frame:
-# numpy's one-row product takes another BLAS kernel and other bytes.
-_PIXEL_BLOCK = 2048
-# Pixel blocks per band of walk (48 rows at default.ini). A band recomputes
-# its halo rows, so a taller band wastes less; a shorter one holds less.
-_BAND_BLOCKS = 3
+# Pixels per block, rounded down to whole image rows (at least one): the
+# rows walk streams through the layers per step (8 at default.ini), and
+# the rows routing and fc run on, so every fc conv is one gemm per image
+# row as on a whole frame: numpy's one-row product takes another BLAS
+# kernel and other bytes.
+_PIXEL_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -250,19 +253,6 @@ class RoutingState:
     pre_squash_s: np.ndarray
 
 
-def _run_blocks(n: int, block: int, fn) -> None:
-    """Call fn(lo, hi) on each fixed block [k * block, min((k + 1) * block, n))
-    of [0, n), the blocks split over run_ranges workers: walk's bands, the one
-    place the network is split. The blocks never depend on the worker count,
-    so neither does anything computed per block."""
-
-    def blocks(first, last):
-        for k in range(first, last):
-            fn(k * block, min((k + 1) * block, n))
-
-    run_ranges(-(-n // block), blocks)
-
-
 def _chunk_rows(cols: int, weights_shape: tuple, itemsize: int) -> int:
     """Output rows per im2col chunk: as many as fit in _IM2COL_BYTES, at least one."""
     kh, kw, cin, _ = weights_shape
@@ -289,30 +279,44 @@ def correlate(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def conv2d(values: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None,
-           relu: bool = False, epilogue=None, out_dtype=None) -> np.ndarray:
-    """Same-padded stride-1 cross-correlation on channel-last data.
+           relu: bool = False, epilogue=None, out_dtype=None,
+           pad_rows: tuple[int, int] | None = None, above: np.ndarray | None = None
+           ) -> np.ndarray:
+    """Stride-1 cross-correlation on channel-last data, same-padded by default.
 
-    values [rows, cols, cin], weights [kh, kw, cin, cout]. Output rows run
-    in chunks of _chunk_rows on the calling thread (walk's bands run on
-    workers), each correlating its own zero-bordered slab and storing
-    epilogue(acc) for its accumulator acc [chunk rows, cols, cout] as
-    out_dtype. The default epilogue adds the bias, then applies the optional
-    ReLU; a caller's epilogue replaces both. numpy runs [rows, cols, k] @
-    [k, cout] as one gemm per row, so every gemm has the same operands and
-    shape however the rows are chunked, and the bytes do not change.
+    values [rows, cols, cin], weights [kh, kw, cin, cout]. The columns get
+    kw // 2 zero columns each side. The input rows are above's rows, when
+    given, then values' rows: walk passes a line buffer's carried rows as
+    above and the rows just made as values, and conv2d reads both in place.
+    They get pad_rows = (top, bottom) zero rows, (kh // 2, kh // 2) by
+    default, so the output has input rows + top + bottom - kh + 1 rows.
+    Output rows run in chunks of _chunk_rows on the calling thread, each
+    correlating its own zero-bordered slab and storing epilogue(acc) for its
+    accumulator acc [chunk rows, cols, cout] as out_dtype. The default
+    epilogue adds the bias, then applies the optional ReLU; a caller's
+    epilogue replaces both. numpy runs [rows, cols, k] @ [k, cout] as one
+    gemm per row, so every gemm has the same operands and shape however the
+    rows are chunked or arrive, and the bytes do not change.
     """
-    values = np.asarray(values)
-    weights = np.asarray(weights)
-    if values.ndim != 3 or weights.ndim != 4:
+    values, weights = np.asarray(values), np.asarray(weights)
+    parts = [values] if above is None else [np.asarray(above), values]
+    if any(part.ndim != 3 for part in parts) or weights.ndim != 4:
         raise ShapeMismatch("conv2d expects [rows, cols, cin] and [kh, kw, cin, cout]")
     kh, kw, cin, cout = weights.shape
-    if values.shape[2] != cin:
-        raise ShapeMismatch(f"input has {values.shape[2]} channels, weights expect {cin}")
+    cols = values.shape[1]
+    if any(part.shape[1:] != (cols, cin) for part in parts):
+        raise ShapeMismatch(f"input rows shaped {[part.shape[1:] for part in parts]}, "
+                            f"weights expect {cin} channels")
     if kh % 2 == 0 or kw % 2 == 0:
         raise InvalidConfig("conv2d requires odd kernels")
-    ph, pw = kh // 2, kw // 2
-    rows, cols = values.shape[:2]
-    work = np.result_type(values, weights)
+    top, bottom = (kh // 2, kh // 2) if pad_rows is None else pad_rows
+    pw = kw // 2
+    in_rows = sum(len(part) for part in parts)
+    rows = in_rows + top + bottom - kh + 1
+    if min(top, bottom, rows) < 0:
+        raise ShapeMismatch(f"{in_rows} rows padded by {top} and {bottom} cannot feed "
+                            f"a {kh}-row kernel")
+    work = np.result_type(*parts, weights)
     if epilogue is None:
         bias = None if bias is None else np.asarray(bias)
         out_dtype = work if bias is None else np.result_type(work, bias)
@@ -327,10 +331,16 @@ def conv2d(values: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = No
     step = _chunk_rows(cols, weights.shape, np.dtype(work).itemsize)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        # Zero-bordered input rows lo - ph .. hi + ph, cast in the copy.
+        # Output rows lo..hi read padded rows lo..hi + kh - 1, which are input
+        # rows lo - top..hi + kh - 1 - top; zeros stand beyond the input.
         slab = np.zeros((hi - lo + kh - 1, cols + kw - 1, cin), dtype=work)
-        top, bottom = max(lo - ph, 0), min(hi + ph, rows)
-        slab[top - lo + ph : bottom - lo + ph, pw : pw + cols] = values[top:bottom]
+        start = lo - top  # the input row at the slab's first row
+        at = 0  # the input row at part's first row
+        for part in parts:
+            first, last = max(start, at), min(start + len(slab), at + len(part))
+            if first < last:
+                slab[first - start : last - start, pw : pw + cols] = part[first - at : last - at]
+            at += len(part)
         out[lo:hi] = epilogue(correlate(slab, weights))
     return out
 
@@ -440,7 +450,7 @@ class _FloatArith:
     def conv(self, layer: WeightedLayer, src, dst, relu: bool):
         w, b = (t.data.astype(np.float64) for t in layer_entries(self.weights, layer))
         w = w.reshape(layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
-        return lambda x: conv2d(x, w, b, relu=relu)
+        return partial(conv2d, weights=w, bias=b, relu=relu)
 
     def squash(self, s, src, dst):
         return squash(s)
@@ -467,22 +477,31 @@ class _FloatArith:
 def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.ndarray:
     """The network's one inference walk; returns I/Q [rows, cols, 2] as float.
 
-    The frame runs in fixed bands of _BAND_BLOCKS pixel blocks (whole rows),
-    the bands split over CAPSBEAM_THREADS workers. Each band, in order:
-    - enters (quantizes) its own rows plus the receptive-field halo;
-    - runs the conv layers, then the caps layers (conv, squash), after
-      each conv dropping the kh // 2 rows next to a band edge that is not
-      a frame edge, which saw zeros in place of the rows beyond it;
-    - runs routing and the fc layers (1x1 convs) on each of its pixel
-      blocks and writes its rows of the output.
-    A kept row has the bytes of the layer-by-layer order's row: conv2d is
-    one gemm per image row however the rows are split, squash, routing and
-    fc are per pixel, and enter is elementwise. arith (_FloatArith,
+    The frame is cut into fixed pixel blocks of whole rows (_PIXEL_BLOCK),
+    and each CAPSBEAM_THREADS worker streams one contiguous range of blocks,
+    one block at a time, as the accelerator streams rows through per-layer
+    line buffers (the fused-layer dataflow). For each block, in order:
+    - enter (quantize) the input rows the block's outputs need that the
+      worker has not yet entered;
+    - each conv, then each caps conv (followed by its squash), computes
+      only the output rows whose receptive field is now present: the block's
+      rows plus the halo that the layers after it still need. It reads the
+      input rows it carried from the previous block (a copy, at most
+      kh - 1 rows) and the rows just made, with zero rows only at the
+      frame's top and bottom, and carries the rows its next outputs need;
+    - routing and the fc layers (1x1 convs) run on the block's rows and
+      write them to the output.
+    Only a worker's first block enters a halo, so a layer computes a row
+    twice only within its remaining halo of a seam between two workers.
+    Every row has the bytes of the layer-by-layer order's row: conv2d is
+    one gemm per image row however the rows arrive, squash, routing and fc
+    are per pixel, and enter is elementwise. arith (_FloatArith,
     quantized._FixedArith) does each stage's arithmetic, given the names of
     the activations it reads and writes, which no other code states;
-    arith.conv fetches a layer's weights once and returns it as a function.
-    trace, when given, gets every name's max |activation| over the kept
-    rows; bands trace their own dicts, folded after the workers finish.
+    arith.conv fetches a layer's weights once and returns it as a function
+    of the input rows, taking conv2d's pad_rows and above. trace, when
+    given, gets every name's max |activation| over the computed rows;
+    workers trace their own dicts, folded after they finish.
     """
     cfg.validate_for_inference()
     if cfg.conv_layers[0].in_ch != rf.num_channels:
@@ -506,38 +525,54 @@ def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.
     fc_names = [route_names[-1]] + [f"fc{i}.out" for i in range(len(cfg.fc_layers))]
     fc = [(dst, arith.conv(next(stored), src, dst, layer.relu))
           for src, dst, layer in zip(fc_names, fc_names[1:], cfg.fc_layers)]
+    # The halo each stage's output still needs: the half-heights after it.
+    halos = [sum(kh // 2 for kh, *_ in stages[k + 1:]) for k in range(len(stages))]
+    halo = halos[0] + stages[0][0] // 2
     rows, cols = rf.samples.shape[:2]
     block = max(1, _PIXEL_BLOCK // cols)
     out = np.empty((rows, cols, 2))
-    band_traces = []
+    worker_traces = []
 
-    def band(lo, hi):
+    def stream(first, last):
         local = None if trace is None else {}
-        halo = sum(kh // 2 for kh, *_ in stages)
-        top = max(lo - halo, 0)
-        x = _trace(local, "input", arith.enter(rf.samples[top : hi + halo], "input"))
-        for kh, name, conv, capsules in stages:
-            halo -= kh // 2
-            keep = max(lo - halo, 0)
-            y = _trace(local, name, conv(x)[keep - top : hi + halo - top])
-            if capsules is not None:
-                num_capsules, dst = capsules
-                v = arith.squash(y.reshape(*y.shape[:2], num_capsules, -1), name, dst)
-                y = _trace(local, dst, v).reshape(y.shape)
-            x, top = y, keep
-        for b in range(0, hi - lo, block):
-            caps = x[b : b + block]
-            v = arith.route(caps.reshape(-1, routing.num_in_capsules, routing.in_dim),
+        lo, hi = first * block, min(last * block, rows)
+        entered = max(lo - halo, 0)
+        done = [max(lo - h, 0) for h in halos]  # each stage's next output row
+        held = [None] * len(stages)  # input rows from max(done - kh // 2, 0)
+        for b in range(lo, hi, block):
+            end = min(b + block, rows)
+            x = arith.enter(rf.samples[entered : min(end + halo, rows)], "input")
+            entered = min(end + halo, rows)
+            _trace(local, "input", x)
+            for k, (kh, name, conv, capsules) in enumerate(stages):
+                ph, stop = kh // 2, min(end + halos[k], rows)
+                # held[k] then x are input rows max(done - ph, 0) up to
+                # min(stop + ph, rows): exactly the rows output rows done up
+                # to stop read, beside the zero rows beyond a frame edge.
+                pad_rows = (max(ph - done[k], 0), max(stop + ph - rows, 0))
+                y = _trace(local, name, conv(x, pad_rows=pad_rows, above=held[k]))
+                if ph:  # carry the input rows that outputs from stop on read
+                    keep = min(stop + ph, rows) - max(stop - ph, 0)
+                    if len(x) < keep:
+                        x = np.concatenate((held[k], x))
+                    held[k] = x[len(x) - keep:].copy()
+                done[k] = stop
+                if capsules is not None:
+                    num_capsules, dst = capsules
+                    v = arith.squash(y.reshape(*y.shape[:2], num_capsules, -1), name, dst)
+                    y = _trace(local, dst, v).reshape(y.shape)
+                x = y
+            v = arith.route(x.reshape(-1, routing.num_in_capsules, routing.in_dim),
                             routing, route_names, local)
-            y = _trace(local, route_names[-1], v).reshape(*caps.shape[:2], -1)
+            y = _trace(local, route_names[-1], v).reshape(*x.shape[:2], -1)
             for name, conv in fc:
                 y = _trace(local, name, conv(y))
-            out[lo + b : lo + b + len(caps)] = arith.leave(y, fc_names[-1])
+            out[b:end] = arith.leave(y, fc_names[-1])
         if local is not None:
-            band_traces.append(local)
+            worker_traces.append(local)
 
-    _run_blocks(rows, block * _BAND_BLOCKS, band)
-    for local in band_traces:
+    run_ranges(-(-rows // block), stream)
+    for local in worker_traces:
         for name, peak in local.items():
             trace[name] = max(trace.get(name, 0.0), peak)
     return out

@@ -424,11 +424,13 @@ def _cmd_report(args) -> int:
 
     weights = capsnet.init_weights(cfg.capsnet, seed=seed)
     out.write_bundle("weights.cbwb", weights)
-    envs["capsnet"] = capsnet.infer(rf_volumes[center], cfg.capsnet, weights)
+    # The float walk's trace calibrates the fixed-point path: one walk, not two.
+    trace = {} if cfg.quant.enabled else None
+    envs["capsnet"] = capsnet.infer(rf_volumes[center], cfg.capsnet, weights, trace=trace)
     _write_image_set(out, "capsnet", envs["capsnet"], cfg)
 
     if cfg.quant.enabled:
-        plan = quantized.calibrate(weights, [rf_volumes[center]], cfg.capsnet)
+        plan = quantized.plan_from_trace(weights, trace)
         qbundle = quantized.quantize_bundle(weights, plan)
         out.write_bundle("quantized.cbwb", qbundle)
         envs["capsnet_q"] = quantized.infer_quantized(rf_volumes[center], cfg.capsnet, qbundle)

@@ -8,18 +8,22 @@ saturates to 32 bits, and every rescale is a power-of-two shift rounded
 half away from zero, saturating to int16.
 
 infer_quantized runs capsnet.walk, the float path's layer walk, with the
-fixed-point arithmetic of _FixedArith, one band of rows at a time: each
-band quantizes its own input rows, so no layer and no caps squash holds
-the whole frame. Every conv, capsule conv and fc
-layer (fc as a 1x1 conv) is one conv_fixed call, in infer_quantized and
-in the accel_sim replay alike. It accumulates through the float64 im2col
-matmul of capsnet.conv2d and, per row chunk of that conv, adds the bias
-at accumulator scale, requantizes and applies the ReLU, so no whole-frame
-accumulator is held. The float64 sum is exact, not approximate:
-|int16 * int16| <= 2^30, so while a dot product has at most
-MAX_EXACT_TAPS = 2^23 taps every partial sum is an integer of magnitude
-<= 2^53, which float64 holds exactly in any summation order. Larger tap
-counts raise InvalidConfig.
+fixed-point arithmetic of _FixedArith, streamed one block of rows at a
+time through the walk's line buffers: each block quantizes only the input
+rows it brings, so no layer and no caps squash holds the whole frame.
+Every conv, capsule conv and fc layer (fc as a 1x1 conv) is one
+conv_fixed call, in infer_quantized and in the accel_sim replay alike.
+It accumulates through the float64 im2col matmul of capsnet.conv2d and,
+per row chunk of that conv, adds the bias at accumulator scale,
+requantizes and applies the ReLU, so no whole-frame accumulator is held.
+The float64 sum is exact, not approximate: |int16 * int16| <= 2^30, so
+while a dot product has at most MAX_EXACT_TAPS = 2^23 taps every partial
+sum is an integer of magnitude <= 2^53, which float64 holds exactly in
+any summation order. Larger tap counts raise InvalidConfig.
+
+calibrate takes the activation maxima from the trace of a float walk;
+plan_from_trace builds the plan from a trace already taken, so a caller
+that runs float inference anyway need not walk the network again.
 
 The softmax exponential is the 5-term Taylor polynomial
 1 + x + x^2/2 + x^3/6 + x^4/24 in Horner form. Its input is clamped to
@@ -210,12 +214,21 @@ def scale_for_max(m: float, max_exp: int = MAX_SCALE_EXP) -> int:
 
 
 def calibrate(bundle: WeightBundle, samples: list[RfVolume], cfg) -> QuantPlan:
-    """Derive fraction widths from weight maxima and from the activation
-    maxima of the float walk's trace, which holds every activation name."""
+    """plan_from_trace on the trace of one float walk over each sample."""
     from .pruning import densify
 
     if not samples:
         raise EmptyCalibration("calibration needs at least one sample volume")
+    dense = densify(bundle, cfg.layer_names())
+    trace: dict[str, float] = {}
+    for rf in samples:
+        capsnet.infer(rf, cfg, dense, trace=trace)
+    return plan_from_trace(bundle, trace)
+
+
+def plan_from_trace(bundle: WeightBundle, trace: dict[str, float]) -> QuantPlan:
+    """Derive fraction widths from weight maxima and from the activation
+    maxima of a float walk's trace, which holds every activation name."""
     plan = QuantPlan()
     for name, entry in bundle.entries.items():
         if name.endswith(".index") or name.endswith(".mask") or name.endswith(".scale"):
@@ -224,10 +237,6 @@ def calibrate(bundle: WeightBundle, samples: list[RfVolume], cfg) -> QuantPlan:
         if entry.dtype == "fixed16":
             values = values * 2.0 ** (-entry.scale_exp)
         plan.scales[name] = scale_for_max(float(np.max(np.abs(values))) if values.size else 0.0)
-    dense = densify(bundle, cfg.layer_names())
-    trace: dict[str, float] = {}
-    for rf in samples:
-        capsnet.infer(rf, cfg, dense, trace=trace)
     for name, peak in trace.items():
         plan.scales[name] = scale_for_max(peak)
     return plan
@@ -313,13 +322,16 @@ def _bias_to_acc(b_raw: np.ndarray, from_f: int, acc_f: int) -> np.ndarray:
 
 
 def conv_fixed(x_raw: np.ndarray, w_raw: np.ndarray, b_raw: np.ndarray, f_in: int,
-               f_w: int, f_b: int, f_out: int, relu: bool) -> np.ndarray:
+               f_w: int, f_b: int, f_out: int, relu: bool,
+               pad_rows: tuple[int, int] | None = None,
+               above: np.ndarray | None = None) -> np.ndarray:
     """One fixed-point conv layer on int16 raws [rows, cols, cin] at f_in.
 
     Weights [kh, kw, cin, cout] at f_w accumulate exactly at f_in + f_w;
     the bias joins at that scale, then requantize to f_out and the
     optional ReLU. All of it runs per capsnet.conv2d row chunk, so no
-    whole-frame accumulator exists. Returns int16 [rows, cols, cout].
+    whole-frame accumulator exists. pad_rows and above are capsnet.conv2d's
+    (same padding by default). Returns int16 [out rows, cols, cout].
     """
     acc_f = f_in + f_w
     bias_acc = _bias_to_acc(np.asarray(b_raw), f_b, acc_f)
@@ -329,7 +341,7 @@ def conv_fixed(x_raw: np.ndarray, w_raw: np.ndarray, b_raw: np.ndarray, f_in: in
         return np.maximum(out, 0) if relu else out
 
     return capsnet.conv2d(x_raw, _exact_float_weights(w_raw), epilogue=finish,
-                          out_dtype=np.int16)
+                          out_dtype=np.int16, pad_rows=pad_rows, above=above)
 
 
 class _FixedArith:

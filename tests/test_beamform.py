@@ -274,9 +274,9 @@ def test_mvdr_zero_window_between_rows_is_singular(monkeypatch):
 
 def test_network_opens_one_pool_at_most(monkeypatch, toy_cfg, loud_toy_weights, toy_rf,
                                         wide_rf):
-    # walk's bands are the one place the network is split over workers:
-    # conv2d runs its chunks on the calling thread, so no pool opens under
-    # the band pool, and a one-band frame or a direct conv opens none.
+    # walk's block ranges are the one place the network is split over
+    # workers: conv2d runs its chunks on the calling thread, so no pool opens
+    # under walk's pool, and a one-block frame or a direct conv opens none.
     import capsbeam.beamform as beamform
     from capsbeam import capsnet
     from capsbeam.accel_sim import AccelConfig, ConvLayerSpec, sim_conv_layer
@@ -294,7 +294,7 @@ def test_network_opens_one_pool_at_most(monkeypatch, toy_cfg, loud_toy_weights, 
     monkeypatch.setattr(beamform, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setenv("CAPSBEAM_THREADS", "2")
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 1)  # one output row a conv chunk
-    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # wide_rf: 3 bands, toy_rf: 1
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # wide_rf: 7 blocks, toy_rf: 1
     for run in (lambda rf: infer(rf, toy_cfg, loud_toy_weights),
                 lambda rf: infer_quantized(rf, toy_cfg, qbundle)):
         pools.clear()

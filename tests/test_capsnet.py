@@ -95,6 +95,30 @@ def test_conv2d_equals_pad_then_correlate(monkeypatch, dtype):
         np.testing.assert_array_equal(got, expected)
 
 
+def test_conv2d_pad_rows_computes_any_row_range(monkeypatch):
+    # A line buffer hands conv2d input rows lo - 2 .. hi + 2 of the frame
+    # (clipped to it), its carried rows as above and the rest as values,
+    # with zero rows only where the frame ends; each output row must be the
+    # same-padded conv's row, chunk seams included.
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 1)  # one output row a chunk
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((11, 9, 3))
+    weights = rng.standard_normal((5, 3, 3, 4))
+    ref = conv2d(values, weights)
+    for lo, hi in [(0, 11), (0, 1), (3, 8), (9, 11), (10, 11), (4, 4), (11, 11)]:
+        first, last = max(lo - 2, 0), min(hi + 2, 11)
+        pad_rows = (first - (lo - 2), hi + 2 - last)
+        for split in range(first, last + 1):
+            got = conv2d(values[split:last], weights, pad_rows=pad_rows,
+                         above=values[first:split] if split > first else None)
+            assert got.shape == (hi - lo, 9, 4)
+            assert got.tobytes() == ref[lo:hi].tobytes(), (lo, hi, split)
+    with pytest.raises(ShapeMismatch):
+        conv2d(values[:2], weights, pad_rows=(0, 1))
+    with pytest.raises(ShapeMismatch):
+        conv2d(values, weights, above=values[:, :, :2])
+
+
 def test_conv2d_rejects_bad_shapes():
     with pytest.raises(ShapeMismatch):
         conv2d(np.zeros((4, 4)), np.zeros((3, 3, 1, 1)))
@@ -406,3 +430,43 @@ def test_infer_missing_weight(toy_cfg, toy_rf):
 
     with pytest.raises(MissingWeight):
         infer(toy_rf, toy_cfg, WeightBundle())
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_walk_computes_each_row_once_but_at_worker_seams(threads, monkeypatch, toy_cfg,
+                                                         loud_toy_weights, wide_rf):
+    # Host work in conv rows, counted where they are computed. One worker
+    # computes each layer's 70 rows once, whatever the block size: every
+    # conv carries its input rows from block to block. Each seam between
+    # two workers recomputes 2 x the halo still left after the layer (the
+    # toy net's conv0 2, conv1 1, every later layer 0); wide_rf's seams lie
+    # farther than the halo from a frame edge, so none is clipped.
+    from capsbeam.quantized import calibrate, infer_quantized, quantize_bundle
+
+    qbundle = quantize_bundle(loud_toy_weights, calibrate(loud_toy_weights, [wide_rf], toy_cfg))
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 80)  # 35 blocks of 2 rows
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**12)
+    monkeypatch.setenv("CAPSBEAM_THREADS", str(threads))
+    names = toy_cfg.layer_names()
+    halo_after = {"conv0": 2, "conv1": 1}
+    real = capsnet.correlate
+    for run in (lambda: infer(wide_rf, toy_cfg, loud_toy_weights),
+                lambda: infer_quantized(wide_rf, toy_cfg, qbundle)):
+        computed = []  # (layer weights, output rows), appended from every worker
+
+        def counted(padded, weights):
+            y = real(padded, weights)
+            computed.append((weights.tobytes(), len(y)))
+            return y
+
+        monkeypatch.setattr(capsnet, "correlate", counted)
+        run()
+        monkeypatch.setattr(capsnet, "correlate", real)
+        # Every worker walks the layers in order, so first uses come in order.
+        layers = dict(zip(dict.fromkeys(key for key, _ in computed), names))
+        assert len(layers) == len(names)
+        rows = dict.fromkeys(names, 0)
+        for key, n in computed:
+            rows[layers[key]] += n
+        assert rows == {name: 70 + (threads - 1) * 2 * halo_after.get(name, 0)
+                        for name in names}

@@ -509,3 +509,19 @@ def test_report_pipeline(tmp_path):
             data = (manifest.parent / name).read_bytes()
             assert digest == "sha256:" + hashlib.sha256(data).hexdigest()[:12], name
     assert read_tensor_file(out / "rf_angle2.cbtf").tobytes() == (out / "rf_angle2.cbtf").read_bytes()
+
+
+def test_report_walks_the_float_network_once(tmp_path, monkeypatch):
+    # desk.ini enables quantization: the float infer's trace calibrates the
+    # fixed-point path, so the float walk runs once, not a second time in
+    # calibrate. The fixed-point walk runs once too.
+    walks = []
+    real = capsnet.walk
+
+    def counted(rf, cfg, arith, trace=None):
+        walks.append(type(arith).__name__)
+        return real(rf, cfg, arith, trace)
+
+    monkeypatch.setattr(capsnet, "walk", counted)
+    _run(["report", "--config", DESK, "--out", str(tmp_path / "report")])
+    assert walks == ["_FloatArith", "_FixedArith"]

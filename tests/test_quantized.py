@@ -401,12 +401,11 @@ def test_pipeline_routing_squashes_once_per_block(monkeypatch, toy_cfg, loud_toy
     # infer's broadcast predictions keep every logit row constant, so both
     # paths stop routing after the first of the toy net's 3 iterations: one
     # routing squash ([pixels, n_out, dim]) per pixel block, beside one
-    # squash ([rows, cols, n_caps, dim]) per caps layer per band.
+    # squash ([rows, cols, n_caps, dim]) per caps layer per streamed block.
     from capsbeam import quantized
 
     qbundle = quantize_bundle(loud_toy_weights, calibrate(loud_toy_weights, [wide_rf], toy_cfg))
     monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # 7 blocks of 10 rows
-    monkeypatch.setattr(capsnet, "_BAND_BLOCKS", 3)  # bands of 30, 30 and 10 rows
     monkeypatch.setenv("CAPSBEAM_THREADS", "1")
     assert toy_cfg.routing.num_iterations == 3
     for module, name, run in (
@@ -423,7 +422,7 @@ def test_pipeline_routing_squashes_once_per_block(monkeypatch, toy_cfg, loud_toy
         run()
         monkeypatch.setattr(module, name, squash_fn)
         assert ranks.count(3) == 7, name
-        assert ranks.count(4) == 3 * len(toy_cfg.caps_conv_layers), name
+        assert ranks.count(4) == 7 * len(toy_cfg.caps_conv_layers), name
 
 
 def test_calibrate_independent_of_threads(monkeypatch, toy_cfg, loud_toy_weights, wide_rf):
@@ -626,7 +625,7 @@ def test_network_bytes_frozen(threads, monkeypatch, toy_cfg, loud_toy_weights, w
     }
 
 
-# ---------------------------------------------------------------- banded walk
+# ---------------------------------------------------------------- streamed walk
 
 
 def _network_outputs(cfg, bundle, rf):
@@ -644,7 +643,7 @@ def _network_outputs(cfg, bundle, rf):
 
 @pytest.fixture(scope="module")
 def whole_frame_outputs(toy_cfg, loud_toy_weights, wide_rf):
-    # Layer by layer: one conv chunk, one routing block, one band, one thread.
+    # Layer by layer: one conv chunk, one block, one thread.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(capsnet, "_IM2COL_BYTES", 2**40)
         mp.setattr(capsnet, "_PIXEL_BLOCK", 10**9)
@@ -653,22 +652,21 @@ def whole_frame_outputs(toy_cfg, loud_toy_weights, wide_rf):
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
-@pytest.mark.parametrize("pixel_block, band_blocks", [
-    pytest.param(400, 1, id="one-block-per-band"),  # 7 bands of 10 rows
-    pytest.param(80, 1, id="bands-shorter-than-halo"),  # 35 bands of 2 rows
-    pytest.param(40, 34, id="band-ends-mid-halo"),  # 34, 34 and 2 rows
-    pytest.param(400, 7, id="one-band"),  # 70 rows, the whole frame
+@pytest.mark.parametrize("pixel_block", [  # a band is one streamed block
+    pytest.param(400, id="one-block-per-band"),  # 7 blocks of 10 rows
+    pytest.param(80, id="bands-shorter-than-halo"),  # 35 blocks of 2 rows
+    pytest.param(1360, id="band-ends-mid-halo"),  # 34, 34 and 2 rows
+    pytest.param(2800, id="one-band"),  # 70 rows, the whole frame
 ])
-def test_banded_walk_matches_whole_frame(pixel_block, band_blocks, threads, monkeypatch,
-                                         toy_cfg, loud_toy_weights, wide_rf,
-                                         whole_frame_outputs):
-    # The toy net's halo is 3 rows: conv0, conv1 and caps0 each drop 1 row
-    # at an inner band edge. Every band setting and worker count gives the
-    # layer-by-layer bytes, trace and plan.
+def test_banded_walk_matches_whole_frame(pixel_block, threads, monkeypatch, toy_cfg,
+                                         loud_toy_weights, wide_rf, whole_frame_outputs):
+    # The toy net's halo is 3 rows: conv0, conv1 and caps0 each need 1 row
+    # beyond a block, so each carries 2 input rows to the next block. Every
+    # block size and worker count gives the layer-by-layer bytes, trace and
+    # plan.
     assert wide_rf.samples.shape[:2] == (70, 40)
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**12)
     monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", pixel_block)
-    monkeypatch.setattr(capsnet, "_BAND_BLOCKS", band_blocks)
     monkeypatch.setenv("CAPSBEAM_THREADS", threads)
     got = _network_outputs(toy_cfg, loud_toy_weights, wide_rf)
     for key, expected in whole_frame_outputs.items():
@@ -676,16 +674,17 @@ def test_banded_walk_matches_whole_frame(pixel_block, band_blocks, threads, monk
 
 
 def test_infer_memory_is_bounded_by_the_band(monkeypatch, toy_cfg, loud_toy_weights):
-    # Each band holds its own rows of every layer; only the input and the
-    # I/Q output scale with the frame. A 4x taller volume therefore grows
-    # float infer's traced peak by well under 4x.
+    # A worker holds one block of every layer plus each conv's carried
+    # rows; only the frame-sized arrays grow with the frame: the float64
+    # I/Q output and the float32 I and Q images, 24 bytes a pixel. The
+    # input volume is allocated before tracing starts.
     import tracemalloc
 
-    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # bands of 30 rows
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # blocks of 10 rows
     monkeypatch.setenv("CAPSBEAM_THREADS", "1")
     rng = np.random.default_rng(13)
-    peaks = []
-    for rows in (64, 256):
+    heights, peaks = (64, 1024), []
+    for rows in heights:
         samples = rng.normal(scale=0.5, size=(rows, 40, 8)).astype(np.float32)
         rf = RfVolume(grid=PixelGrid(num_rows=rows, num_cols=40), num_channels=8,
                       samples=samples)
@@ -695,4 +694,4 @@ def test_infer_memory_is_bounded_by_the_band(monkeypatch, toy_cfg, loud_toy_weig
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] < 2 * peaks[0], peaks
+    assert peaks[1] - peaks[0] <= 24 * 40 * (heights[1] - heights[0]), peaks
