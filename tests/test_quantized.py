@@ -677,7 +677,10 @@ def test_infer_memory_is_bounded_by_the_band(monkeypatch, toy_cfg, loud_toy_weig
     # A worker holds one block of every layer plus each conv's carried
     # rows; only the frame-sized arrays grow with the frame: the float64
     # I/Q output and the float32 I and Q images, 24 bytes a pixel. The
-    # input volume is allocated before tracing starts.
+    # input volume is allocated before tracing starts, and the collector
+    # is paused so that no finalizer of an earlier test allocates inside
+    # the traced call.
+    import gc
     import tracemalloc
 
     monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)  # blocks of 10 rows
@@ -688,10 +691,13 @@ def test_infer_memory_is_bounded_by_the_band(monkeypatch, toy_cfg, loud_toy_weig
         samples = rng.normal(scale=0.5, size=(rows, 40, 8)).astype(np.float32)
         rf = RfVolume(grid=PixelGrid(num_rows=rows, num_cols=40), num_channels=8,
                       samples=samples)
+        gc.collect()
+        gc.disable()
         tracemalloc.start()
         try:
             infer(rf, toy_cfg, loud_toy_weights)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+            gc.enable()
     assert peaks[1] - peaks[0] <= 24 * 40 * (heights[1] - heights[0]), peaks
