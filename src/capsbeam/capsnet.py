@@ -553,7 +553,7 @@ def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.
                 y = _trace(local, name, conv(x, pad_rows=pad_rows, above=held[k]))
                 if ph:  # carry the input rows that outputs from stop on read
                     keep = min(stop + ph, rows) - max(stop - ph, 0)
-                    if len(x) < keep:
+                    if len(x) < keep:  # fewer new rows than carried ones
                         x = np.concatenate((held[k], x))
                     held[k] = x[len(x) - keep:].copy()
                 done[k] = stop
