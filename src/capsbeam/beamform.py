@@ -4,11 +4,14 @@ DAS is the normalized apodized channel sum, cast to float64 a few rows at
 a time. MVDR solves the loaded spatial covariance per pixel over
 overlapping subarrays with temporal (row) averaging, steering vector
 all-ones since delays are already applied. Pixels in different columns
-share no MVDR work, so it runs in column blocks sized from a byte budget,
-split over workers. Within a block the subarray Gram of each input row is
-computed once, and the 2K+1-row temporal window sums are built from
-prefix and suffix sums over fixed row chunks (van Herk/Gil-Werman), so no
-snapshot is gathered twice. Coherent compounding averages beamformed
+share no MVDR work, so it runs in narrow column blocks sized from a byte
+budget on the block's whole working set, split over workers. Within a
+block the subarray Gram of each input row is computed once, and the
+2K+1-row temporal window sums are built from prefix and suffix sums over
+fixed row chunks (van Herk/Gil-Werman), so no snapshot is gathered twice.
+Each step takes one such chunk of output rows: one batch of Grams, one
+stack of bordered matrices and one Cholesky call, so the per-call cost
+does not grow as blocks narrow. Coherent compounding averages beamformed
 values across transmit angles pixel-wise. The envelope stage is a
 frequency-domain Hilbert transform down the rows on numpy.fft, and log
 compression maps magnitudes to a clamped dB scale.
@@ -38,10 +41,11 @@ THREADS_ENV_VAR = "CAPSBEAM_THREADS"
 # Float64 bytes of one DAS block: two full-scale rows. The whole-volume
 # cast held 48 MB at default.ini.
 _DAS_BLOCK_BYTES = 1 << 18
-# Bytes of one MVDR column block's van Herk buffer, 2K+1 Grams [cols, L, L]:
-# 32 columns at the default L = 48, K = 7, so 2 workers take 2 blocks each
-# of a 128-column frame.
-_VAN_HERK_BYTES = 9_000_000
+# Bytes of one MVDR column block's whole working set, _mvdr_column_bytes a
+# column: 4 columns at the default L = 48, K = 7 and 128 channels (5.7 MB),
+# so 2 workers take 16 blocks each of a 128-column frame. 32-column blocks
+# held about 12 MB a worker and ran no faster.
+_VAN_HERK_BYTES = 6_000_000
 
 
 def thread_budget() -> int:
@@ -119,47 +123,60 @@ def das(rf: RfVolume, apodization: np.ndarray) -> BeamformedImage:
     return BeamformedImage(grid=rf.grid, values=values)
 
 
-def _gram(row: np.ndarray, subarray_len: int) -> np.ndarray:
-    """Subarray Gram sum_g x[g:g+L] x[g:g+L]^T of one input row, [cols, L, L]."""
-    subs = np.ascontiguousarray(
-        sliding_window_view(row.astype(np.float64), subarray_len, axis=1))
-    return np.matmul(subs.transpose(0, 2, 1), subs)
+def _mvdr_column_bytes(params: MvdrParams, channels: int) -> int:
+    """Float64 bytes one column adds to an MVDR block's working set: the
+    chunk's suffix sums and the next chunk's Grams (2K+1 [L, L] each), the
+    prefix [L, L], the bordered stack and its factor (2K+1 [L+2, L+2]
+    each), and one Gram batch's samples and snapshots (K + 1 rows)."""
+    L, K = params.subarray_len, params.temporal_half_window
+    W, G = 2 * K + 1, channels - L + 1
+    return 8 * (2 * W * L * L + L * L + 2 * W * (L + 2) ** 2 + (K + 1) * (channels + G * L))
 
 
-def _mvdr_row(samples: np.ndarray, r0: int, c0: int, A: np.ndarray,
-              params: MvdrParams) -> np.ndarray:
-    """Output row r0 of a column block starting at global column c0.
+def _mvdr_rows(samples: np.ndarray, r0: int, c0: int, A: np.ndarray,
+               params: MvdrParams, out: np.ndarray) -> None:
+    """Output rows r0 .. r0 + n - 1 of a column block starting at global column c0.
 
-    A [cols, L+2, L+2] holds the row's window sum R in its top-left L x L
-    and ones in row and column L. R's diagonal is loaded in place, and
-    row and column L+1 take the centre row's mean subarray m, so A is R
+    A [n, cols, L+2, L+2] holds each pixel's window sum R in its top-left
+    L x L and ones in row and column L. R's diagonal is loaded in place,
+    and row and column L+1 take the pixel's mean subarray m, so A is R
     bordered by B = [1, m] and D = diag(1/(eps p), 1/eps), p = tr(R)/L
     after loading. The Cholesky factor's last two rows are then
     y = G^-1 1 and z = G^-1 m, with R = G G^T, and the output
     1'R^-1 m / 1'R^-1 1 is y.z / y.y: no triangular solve is needed, and
     y.y > 0 once the factorization succeeds. D never changes y or z.
+    Errors name the first failing row and, within it, the first failing
+    column; a zero window outranks a failed factorization in its own row.
     """
     L = params.subarray_len
-    R = A[:, :L, :L]
-    trace = np.trace(R, axis1=1, axis2=2)
-    zero = np.flatnonzero(trace == 0.0)
-    if zero.size:
-        raise SingularCovariance(
-            f"row {r0}, column {c0 + zero[0]}: all-zero window, covariance has zero trace")
+    trace = np.trace(A[..., :L, :L], axis1=2, axis2=3)
+    zero = np.argwhere(trace == 0.0)
+    ok = zero[0, 0] if zero.size else len(A)
+    A, trace = A[:ok], trace[:ok]
     diag = np.arange(L)
-    R[:, diag, diag] += (params.diagonal_loading * trace / L)[:, None]
+    A[..., diag, diag] += (params.diagonal_loading * trace / L)[..., None]
     eps = np.finfo(np.float64).eps
-    A[:, L, L] = L / (eps * (1.0 + params.diagonal_loading) * trace)
-    A[:, L + 1, L + 1] = 1.0 / eps
-    A[:, L + 1, :L] = A[:, :L, L + 1] = sliding_window_view(
-        samples[r0].astype(np.float64), L, axis=1).mean(axis=1)
+    A[..., L, L] = L / (eps * (1.0 + params.diagonal_loading) * trace)
+    A[..., L + 1, L + 1] = 1.0 / eps
+    A[..., L + 1, :L] = A[..., :L, L + 1] = sliding_window_view(
+        samples[r0:r0 + ok].astype(np.float64), L, axis=2).mean(axis=2)
     try:
         factor = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError:
+        for i, c in np.ndindex(A.shape[:2]):
+            try:
+                np.linalg.cholesky(A[i, c])
+            except np.linalg.LinAlgError as exc:
+                raise SingularCovariance(
+                    f"row {r0 + i}, column {c0 + c}: "
+                    "covariance singular to working precision") from exc
+        raise
+    if zero.size:
         raise SingularCovariance(
-            f"row {r0}: covariance singular to working precision") from exc
-    y, z = factor[:, L, :L], factor[:, L + 1, :L]
-    return np.einsum("cl,cl->c", y, z) / np.einsum("cl,cl->c", y, y)
+            f"row {r0 + ok}, column {c0 + zero[0, 1]}: "
+            "all-zero window, covariance has zero trace")
+    y, z = factor[..., L, :L], factor[..., L + 1, :L]
+    out[...] = np.einsum("ncl,ncl->nc", y, z) / np.einsum("ncl,ncl->nc", y, y)
 
 
 def _mvdr_block(samples: np.ndarray, c0: int, params: MvdrParams, out: np.ndarray) -> None:
@@ -170,54 +187,64 @@ def _mvdr_block(samples: np.ndarray, c0: int, params: MvdrParams, out: np.ndarra
     of row clip(p - K), and row r sums positions r .. r + 2K. Positions
     fall in chunks of W = 2K + 1, so that window is the suffix of r's chunk
     from r plus the prefix of the next chunk up to r + 2K (just the whole
-    chunk when r starts one). Suffixes are summed backward and prefixes
-    forward within a chunk, and each column's Gram, factor and sums are
-    its own, so a pixel's bits depend neither on the block width nor on
-    the worker count.
+    chunk when r starts one). Each step takes one chunk of output rows: it
+    computes the next chunk's Grams into the free buffer, K + 1 rows per
+    matmul, builds every row's window sum in one bordered stack and
+    factors it with one Cholesky call (_mvdr_rows). Suffixes are summed
+    backward and prefixes forward within a chunk, and each pixel's Gram,
+    factor and sums are its own, so its bits depend neither on the block
+    width nor on the worker count.
     """
     rows, cols, _ = samples.shape
     L, K = params.subarray_len, params.temporal_half_window
     W = 2 * K + 1
-    cached_row, cached_gram = -1, None
 
-    def gram_at(p: int) -> np.ndarray:
-        # Positions are visited in order, and the K + 1 clamped positions
-        # at either edge share one row, so one cached Gram suffices.
-        nonlocal cached_row, cached_gram
-        t = min(max(p - K, 0), rows - 1)
-        if t != cached_row:
-            cached_row, cached_gram = t, _gram(samples[t], L)
-        return cached_gram
+    def fill(grams: np.ndarray, p0: int, m: int) -> None:
+        # grams[:m] = the Grams of positions p0 .. p0 + m - 1. Their rows
+        # rise by one a position but at the clamped edges, so each distinct
+        # row is computed once, into the slot of its last leading position,
+        # and copied to the slots that repeat it.
+        t = np.clip(np.arange(p0, p0 + m) - K, 0, rows - 1)
+        lo, hi = int(t[0]), int(t[-1]) + 1
+        s = int(np.count_nonzero(t == lo)) - 1
+        for r in range(lo, hi, K + 1):
+            e = min(r + K + 1, hi)
+            subs = np.ascontiguousarray(
+                sliding_window_view(samples[r:e].astype(np.float64), L, axis=2))
+            np.matmul(subs.transpose(0, 1, 3, 2), subs, out=grams[s + r - lo:s + e - lo])
+        grams[:s] = grams[s]
+        grams[s + hi - lo:m] = grams[s + hi - lo - 1]
 
-    def to_suffix_sums():
+    def to_suffix_sums(grams: np.ndarray) -> None:
         for i in range(W - 2, -1, -1):
-            buf[i] += buf[i + 1]
+            grams[i] += grams[i + 1]
 
-    A = np.zeros((cols, L + 2, L + 2))
-    A[:, L, :L] = A[:, :L, L] = 1.0
-    R = A[:, :L, :L]
+    A = np.zeros((W, cols, L + 2, L + 2))
+    A[..., L, :L] = A[..., :L, L] = 1.0
+    R = A[..., :L, :L]
     prefix = np.empty((cols, L, L))
-    # buf holds the suffix sums of the current chunk; slot i - 1 is refilled
-    # with the Gram of the next chunk's position i - 1 once row base + i is out.
-    buf = np.empty((W, cols, L, L))
-    for i in range(W):
-        buf[i] = gram_at(i)
-    to_suffix_sums()
+    # suffix holds the current chunk's suffix sums, nxt the next chunk's
+    # Grams; once a chunk's rows are out, nxt becomes the suffix and the
+    # old suffix buffer takes the chunk after.
+    suffix, nxt = np.empty((W, cols, L, L)), np.empty((W, cols, L, L))
+    fill(suffix, 0, W)
+    to_suffix_sums(suffix)
     for base in range(0, rows, W):
-        R[...] = buf[0]
-        out[base] = _mvdr_row(samples, base, c0, A, params)
-        for i in range(1, min(W, rows - base)):
-            q = gram_at(base + W + i - 1)
+        n = min(W, rows - base)
+        m = min(W, rows + 2 * K - base - W)
+        if m > 0:
+            fill(nxt, base + W, m)
+        R[0] = suffix[0]
+        for i in range(1, n):
             if i == 1:
-                prefix[...] = q
+                prefix[...] = nxt[0]
             else:
-                prefix += q
-            np.add(buf[i], prefix, out=R)
-            out[base + i] = _mvdr_row(samples, base + i, c0, A, params)
-            buf[i - 1] = q
+                prefix += nxt[i - 1]
+            np.add(suffix[i], prefix, out=R[i])
+        _mvdr_rows(samples, base, c0, A[:n], params, out[base:base + n])
         if base + W < rows:
-            buf[W - 1] = gram_at(base + 2 * W - 1)
-            to_suffix_sums()
+            to_suffix_sums(nxt)
+            suffix, nxt = nxt, suffix
 
 
 def mvdr(rf: RfVolume, params: MvdrParams) -> BeamformedImage:
@@ -234,8 +261,9 @@ def mvdr(rf: RfVolume, params: MvdrParams) -> BeamformedImage:
     weight response to the subarrays' mean at the center row. R is left
     unnormalized, since scaling it does not change the weights.
 
-    One bordered Cholesky per row of a column block gives the weights
-    (_mvdr_row). Its border D dominates: with loading delta > 0 and
+    One Cholesky call per chunk of 2K+1 output rows factors every pixel's
+    bordered matrix, each by itself, and gives the weights (_mvdr_rows).
+    Its border D dominates: with loading delta > 0 and
     p = tr(R)/L after loading, p * 1'R^-1 1 <= L (1 + delta) / delta, and
     m'R^-1 m <= 1/G because R holds the centre row's sum_g x_g x_g^T,
     which is at least G m m^T. So the border's Schur complement stays
@@ -249,9 +277,8 @@ def mvdr(rf: RfVolume, params: MvdrParams) -> BeamformedImage:
         raise InvalidConfig(
             f"subarray_len {params.subarray_len} exceeds {rf.num_channels} channels"
         )
-    L, W = params.subarray_len, 2 * params.temporal_half_window + 1
     rows, cols = rf.grid.num_rows, rf.grid.num_cols
-    width = max(1, _VAN_HERK_BYTES // (W * L * L * 8))
+    width = max(1, _VAN_HERK_BYTES // _mvdr_column_bytes(params, rf.num_channels))
     out = np.empty((rows, cols), dtype=np.float64)
 
     def run(lo: int, hi: int) -> None:

@@ -11,8 +11,9 @@ infer_quantized runs capsnet.walk, the float path's layer walk, with the
 fixed-point arithmetic of _FixedArith, streamed one block of rows at a
 time through the walk's line buffers: each block quantizes only the input
 rows it brings, so no layer and no caps squash holds the whole frame.
-Every conv, capsule conv and fc layer (fc as a 1x1 conv) is one
-conv_fixed call, in infer_quantized and in the accel_sim replay alike.
+Every conv, capsule conv and fc layer (fc as a 1x1 conv) runs conv_fixed's
+arithmetic, in infer_quantized (weights converted to float64 once a
+layer, not once a block) and in the accel_sim replay alike.
 It accumulates through the float64 im2col matmul of capsnet.conv2d and,
 per row chunk of that conv, adds the bias at accumulator scale,
 requantizes and applies the ReLU, so no whole-frame accumulator is held.
@@ -333,6 +334,16 @@ def conv_fixed(x_raw: np.ndarray, w_raw: np.ndarray, b_raw: np.ndarray, f_in: in
     whole-frame accumulator exists. pad_rows and above are capsnet.conv2d's
     (same padding by default). Returns int16 [out rows, cols, cout].
     """
+    return _conv_exact(x_raw, _exact_float_weights(w_raw), b_raw, f_in, f_w, f_b, f_out,
+                       relu, pad_rows, above)
+
+
+def _conv_exact(x_raw: np.ndarray, w: np.ndarray, b_raw: np.ndarray, f_in: int,
+                f_w: int, f_b: int, f_out: int, relu: bool,
+                pad_rows: tuple[int, int] | None = None,
+                above: np.ndarray | None = None) -> np.ndarray:
+    """conv_fixed on weights _exact_float_weights has already converted, so
+    a caller that runs one layer on many blocks converts it once."""
     acc_f = f_in + f_w
     bias_acc = _bias_to_acc(np.asarray(b_raw), f_b, acc_f)
 
@@ -340,13 +351,14 @@ def conv_fixed(x_raw: np.ndarray, w_raw: np.ndarray, b_raw: np.ndarray, f_in: in
         out = requantize(acc.astype(np.int64) + bias_acc, acc_f, f_out)
         return np.maximum(out, 0) if relu else out
 
-    return capsnet.conv2d(x_raw, _exact_float_weights(w_raw), epilogue=finish,
-                          out_dtype=np.int16, pad_rows=pad_rows, above=above)
+    return capsnet.conv2d(x_raw, w, epilogue=finish, out_dtype=np.int16,
+                          pad_rows=pad_rows, above=above)
 
 
 class _FixedArith:
     """capsnet.walk's int16 arithmetic at the plan's scale of each name:
-    conv_fixed, and _squash_rows and _routing_fixed each requantized."""
+    conv_fixed with each layer's weights converted once, and _squash_rows
+    and _routing_fixed each requantized."""
 
     def __init__(self, bundle: WeightBundle, plan: QuantPlan):
         self.bundle, self.scale = bundle, plan.scale
@@ -362,8 +374,8 @@ class _FixedArith:
         w_entry, b_entry = capsnet.layer_entries(self.bundle, layer)
         w = _entry_raw(w_entry, f_w).reshape(
             layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
-        return partial(conv_fixed, w_raw=w, b_raw=_entry_raw(b_entry, f_b), f_in=self.scale(src),
-                       f_w=f_w, f_b=f_b, f_out=self.scale(dst), relu=relu)
+        return partial(_conv_exact, w=_exact_float_weights(w), b_raw=_entry_raw(b_entry, f_b),
+                       f_in=self.scale(src), f_w=f_w, f_b=f_b, f_out=self.scale(dst), relu=relu)
 
     def squash(self, s, src, dst):
         f_pre = self.scale(src)

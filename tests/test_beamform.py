@@ -6,7 +6,9 @@ output must reproduce the input) and against a from-scratch per-pixel
 loop implementation of the same covariance/solve/normalize recipe.
 """
 
+import hashlib
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -97,9 +99,9 @@ def _peak_bytes(fn):
 @pytest.mark.parametrize("cols", [48, 96])
 def test_beamformers_peak_memory_does_not_grow_with_columns(monkeypatch, cols):
     # Beside the output, DAS holds one float64 block and MVDR one column
-    # block: its van Herk buffer plus about a third for the prefix, Grams,
-    # bordered matrix and factor. The whole-frame versions held 1.2 MB
-    # (DAS) and 17.8 MB (MVDR) at 48 columns, and twice that at 96.
+    # block, whose whole working set its budget covers (5.9 MB here: five
+    # columns). The whole-frame versions held 1.2 MB (DAS) and 17.8 MB
+    # (MVDR) at 48 columns, and twice that at 96.
     monkeypatch.setenv("CAPSBEAM_THREADS", "1")
     rf = _rf(np.random.default_rng(7).standard_normal((64, cols, 48)))
     assert _peak_bytes(lambda: das(rf, np.ones(48))) <= 2 * beamform._DAS_BLOCK_BYTES
@@ -205,23 +207,40 @@ def test_mvdr_thread_count_does_not_change_values(monkeypatch):
     np.testing.assert_array_equal(serial.values, threaded.values)
 
 
-def _block_columns(monkeypatch, params, width):
-    # A van Herk budget of exactly `width` columns' Grams.
-    W, L = 2 * params.temporal_half_window + 1, params.subarray_len
-    monkeypatch.setattr(beamform, "_VAN_HERK_BYTES", width * W * L * L * 8)
+def _block_columns(monkeypatch, params, channels, width):
+    # A budget of exactly `width` columns' working sets.
+    monkeypatch.setattr(beamform, "_VAN_HERK_BYTES",
+                        width * beamform._mvdr_column_bytes(params, channels))
 
 
 def test_mvdr_bits_independent_of_workers_and_block_width(monkeypatch):
-    # 9 columns in blocks of 4 are three blocks, the last one column wide;
-    # 23 rows in K=2's 5-row chunks end in a 3-row chunk.
+    # 23 rows in K=2's 5-row chunks end in a 3-row chunk; 3 rows are fewer
+    # than one chunk; K=0 makes every row a chunk. 9 columns in blocks of
+    # 2 or 4 end in a one-column block. Each must match one 9-column block.
     rng = np.random.default_rng(8)
-    samples = rng.standard_normal((23, 9, 6)).astype(np.float32)
-    params = MvdrParams(subarray_len=3, temporal_half_window=2)
-    whole = mvdr(_rf(samples), params).values.tobytes()
-    _block_columns(monkeypatch, params, 4)
-    for threads in ("1", "2", "3"):
-        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
-        assert mvdr(_rf(samples), params).values.tobytes() == whole, f"{threads} threads"
+    for rows, half_window in ((23, 2), (3, 2), (23, 0)):
+        samples = rng.standard_normal((rows, 9, 6)).astype(np.float32)
+        params = MvdrParams(subarray_len=3, temporal_half_window=half_window)
+        monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+        _block_columns(monkeypatch, params, 6, 9)
+        whole = mvdr(_rf(samples), params).values.tobytes()
+        for width, threads in itertools.product((1, 2, 4), ("1", "2", "3")):
+            _block_columns(monkeypatch, params, 6, width)
+            monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+            got = mvdr(_rf(samples), params).values.tobytes()
+            assert got == whole, f"{rows} rows, K={half_window}, {width} columns, {threads} threads"
+
+
+def test_mvdr_bytes_frozen():
+    # Both edges clamp the window and the last 5-row chunk has 2 rows. The
+    # digest was taken with one bordered Cholesky per output row, before a
+    # chunk of rows shared one call: every pixel keeps its Grams, its sums
+    # in their order and its own factorization.
+    rng = np.random.default_rng(23)
+    samples = rng.standard_normal((17, 5, 12)).astype(np.float32)
+    params = MvdrParams(subarray_len=5, temporal_half_window=2)
+    digest = hashlib.sha256(mvdr(_rf(samples), params).values.tobytes()).hexdigest()[:16]
+    assert digest == "a384172acca905f5"
 
 
 def test_mvdr_zero_window_names_its_global_column(monkeypatch):
@@ -230,10 +249,36 @@ def test_mvdr_zero_window_names_its_global_column(monkeypatch):
     samples = rng.standard_normal((11, 9, 6)).astype(np.float32)
     samples[4:7, 7] = 0.0
     params = MvdrParams(subarray_len=3, temporal_half_window=1)
-    _block_columns(monkeypatch, params, 3)
+    _block_columns(monkeypatch, params, 6, 3)
     for threads in ("1", "2"):
         monkeypatch.setenv("CAPSBEAM_THREADS", threads)
         with pytest.raises(SingularCovariance, match="row 5, column 7"):
+            mvdr(_rf(samples), params)
+
+
+@pytest.mark.parametrize("zero, singular, message", [
+    ((5, 7), (3, 8), "row 3, column 8: covariance singular"),
+    ((3, 7), (5, 8), "row 3, column 7: all-zero window"),
+    ((4, 8), (4, 7), "row 4, column 8: all-zero window"),
+])
+def test_mvdr_first_failure_in_a_chunk_names_its_row_and_column(monkeypatch, zero, singular,
+                                                                message):
+    # K=1 makes rows 3..5 one chunk, and columns 7 and 8 share the third
+    # 3-column block. Unloaded, a pixel whose three window rows lack
+    # channels 0..3 has no energy at subarray position 0: R is singular
+    # with a non-zero trace. Its neighbours, like the zero window's, hold
+    # one whole row, whose four subarrays give R full rank. A zero window
+    # outranks a failed factorization in its own row.
+    rng = np.random.default_rng(11)
+    samples = rng.standard_normal((11, 9, 6)).astype(np.float32)
+    (zr, zc), (sr, sc) = zero, singular
+    samples[zr - 1:zr + 2, zc] = 0.0
+    samples[sr - 1:sr + 2, sc, :4] = 0.0
+    params = MvdrParams(subarray_len=3, temporal_half_window=1, diagonal_loading=0.0)
+    _block_columns(monkeypatch, params, 6, 3)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+        with pytest.raises(SingularCovariance, match=message):
             mvdr(_rf(samples), params)
 
 

@@ -589,6 +589,25 @@ def test_int_conv_rejects_inexact_tap_count_before_converting():
     assert peak < 2**20
 
 
+def test_infer_quantized_converts_each_layer_once(monkeypatch, toy_cfg, loud_toy_weights,
+                                                  wide_rf):
+    # walk runs every layer once a pixel block (7 blocks of wide_rf here,
+    # on 2 workers), but each layer's int16 weights go to float64 once.
+    from capsbeam import quantized
+
+    qbundle = quantize_bundle(loud_toy_weights, calibrate(loud_toy_weights, [wide_rf], toy_cfg))
+    convert = quantized._exact_float_weights
+    shapes = []
+    monkeypatch.setattr(quantized, "_exact_float_weights",
+                        lambda w: shapes.append(w.shape) or convert(w))
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)
+    monkeypatch.setenv("CAPSBEAM_THREADS", "2")
+    infer_quantized(wide_rf, toy_cfg, qbundle)
+    expect = [(layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
+              for layer in toy_cfg.weighted_layers()]
+    assert shapes == expect
+
+
 # ---------------------------------------------------------------- frozen network bytes
 
 
