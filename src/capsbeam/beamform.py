@@ -43,8 +43,8 @@ THREADS_ENV_VAR = "CAPSBEAM_THREADS"
 _DAS_BLOCK_BYTES = 1 << 18
 # Bytes of one MVDR column block's whole working set, _mvdr_column_bytes a
 # column: 4 columns at the default L = 48, K = 7 and 128 channels (5.7 MB),
-# so 2 workers take 16 blocks each of a 128-column frame. 32-column blocks
-# held about 12 MB a worker and ran no faster.
+# so 2 workers take 16 blocks each of a 128-column frame. Wider blocks hold
+# more memory for little time; 2 or 3 columns ran about 15% slower.
 _VAN_HERK_BYTES = 6_000_000
 
 
@@ -139,9 +139,9 @@ def _mvdr_rows(samples: np.ndarray, r0: int, c0: int, A: np.ndarray,
 
     A [n, cols, L+2, L+2] holds each pixel's window sum R in its top-left
     L x L and ones in row and column L. R's diagonal is loaded in place,
-    and row and column L+1 take the pixel's mean subarray m, so A is R
-    bordered by B = [1, m] and D = diag(1/(eps p), 1/eps), p = tr(R)/L
-    after loading. The Cholesky factor's last two rows are then
+    and row and column L+1 take the mean subarray m of the pixel's own
+    row, so A is R bordered by B = [1, m] and D = diag(1/(eps p), 1/eps),
+    p = tr(R)/L after loading. The Cholesky factor's last two rows are then
     y = G^-1 1 and z = G^-1 m, with R = G G^T, and the output
     1'R^-1 m / 1'R^-1 1 is y.z / y.y: no triangular solve is needed, and
     y.y > 0 once the factorization succeeds. D never changes y or z.
@@ -151,6 +151,7 @@ def _mvdr_rows(samples: np.ndarray, r0: int, c0: int, A: np.ndarray,
     L = params.subarray_len
     trace = np.trace(A[..., :L, :L], axis1=2, axis2=3)
     zero = np.argwhere(trace == 0.0)
+    # Only the rows before the first zero window are loaded and factored.
     ok = zero[0, 0] if zero.size else len(A)
     A, trace = A[:ok], trace[:ok]
     diag = np.arange(L)
