@@ -5,10 +5,12 @@ a time. MVDR solves the loaded spatial covariance per pixel over
 overlapping subarrays with temporal (row) averaging, steering vector
 all-ones since delays are already applied. Pixels in different columns
 share no MVDR work, so it runs in narrow column blocks sized from a byte
-budget on the block's whole working set, split over workers. Within a
-block the subarray Gram of each input row is computed once, and the
-2K+1-row temporal window sums are built from prefix and suffix sums over
-fixed row chunks (van Herk/Gil-Werman), so no snapshot is gathered twice.
+budget on the block's working set, split over workers; the calling thread
+allocates one working set a worker and is itself the first worker, so
+pool threads only compute (run_ranges). Within a block the subarray Gram
+of each input row is computed once, and the 2K+1-row temporal window
+sums are built from prefix and suffix sums over fixed row chunks (van
+Herk/Gil-Werman), so no snapshot is gathered twice.
 Each step takes one such chunk of output rows: one batch of Grams, one
 stack of bordered matrices and one Cholesky call, so the per-call cost
 does not grow as blocks narrow. Coherent compounding averages beamformed
@@ -19,6 +21,7 @@ compression maps magnitudes to a clamped dB scale.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,11 +44,12 @@ THREADS_ENV_VAR = "CAPSBEAM_THREADS"
 # Float64 bytes of one DAS block: two full-scale rows. The whole-volume
 # cast held 48 MB at default.ini.
 _DAS_BLOCK_BYTES = 1 << 18
-# Bytes of one MVDR column block's whole working set, _mvdr_column_bytes a
-# column: 4 columns at the default L = 48, K = 7 and 128 channels (5.7 MB),
-# so 2 workers take 16 blocks each of a 128-column frame. Wider blocks hold
-# more memory for little time; 2 or 3 columns ran about 15% slower.
-_VAN_HERK_BYTES = 6_000_000
+# Bytes of one MVDR worker's working set (_mvdr_workspace), _mvdr_column_bytes
+# a column: 4 columns at the default L = 48, K = 7 and 128 channels (4.5 MB),
+# so 2 workers take 16 blocks each of a 128-column frame. Each step's
+# Cholesky factor adds 1.2 MB there. Wider blocks hold more memory for
+# little time; 2 or 3 columns ran about 15% slower.
+_VAN_HERK_BYTES = 4_500_000
 
 
 def thread_budget() -> int:
@@ -62,18 +66,30 @@ def thread_budget() -> int:
     return parsed
 
 
+def worker_count(n: int, grain: int = 1) -> int:
+    """How many ranges run_ranges splits [0, n) into: min(thread_budget(),
+    n // grain), at least one."""
+    return max(1, min(thread_budget(), n // grain))
+
+
 def run_ranges(n: int, fn, grain: int = 1) -> None:
-    """Call fn(lo, hi) on contiguous ranges splitting [0, n), one per each of
-    min(thread_budget(), n // grain) threads, so each thread gets at least grain
-    items; one range runs inline. MVDR's column blocks, phantom and
-    capsnet.walk's pixel blocks each split once, at the top, and no fn
-    calls run_ranges again. Worker errors propagate."""
-    workers = min(thread_budget(), n // grain)
-    if workers <= 1:
+    """Call fn(lo, hi) on worker_count(n, grain) contiguous ranges splitting
+    [0, n), so each worker gets at least grain items. The calling thread
+    runs the first range itself and a pool of one thread fewer runs the
+    rest, so a single range opens no pool, and what the first range
+    allocates comes from the caller's heap, not from a pool thread's
+    malloc arena. MVDR's column blocks, phantom and capsnet.walk's pixel
+    blocks each split once, at the top, and no fn calls run_ranges again.
+    Errors propagate, the first range's first."""
+    workers = worker_count(n, grain)
+    if workers == 1:
         return fn(0, n)
     bounds = [n * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fn, bounds[:-1], bounds[1:]))
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        rest = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        fn(bounds[0], bounds[1])
+        for future in rest:
+            future.result()
 
 
 @dataclass(frozen=True)
@@ -124,13 +140,31 @@ def das(rf: RfVolume, apodization: np.ndarray) -> BeamformedImage:
 
 
 def _mvdr_column_bytes(params: MvdrParams, channels: int) -> int:
-    """Float64 bytes one column adds to an MVDR block's working set: the
-    chunk's suffix sums and the next chunk's Grams (2K+1 [L, L] each), the
-    prefix [L, L], the bordered stack and its factor (2K+1 [L+2, L+2]
-    each), and one Gram batch's samples and snapshots (K + 1 rows)."""
+    """Float64 bytes one column adds to an MVDR worker's working set
+    (_mvdr_workspace): the bordered stack (2K+1 [L+2, L+2]), the chunk's
+    suffix sums and the next chunk's Grams (2K+1 [L, L] each), the prefix
+    [L, L] and one Gram batch's subarrays (K + 1 rows of G length-L
+    windows). np.linalg.cholesky's factor, one more [L+2, L+2] a pixel of
+    the chunk, is the one large array a step allocates besides."""
     L, K = params.subarray_len, params.temporal_half_window
     W, G = 2 * K + 1, channels - L + 1
-    return 8 * (2 * W * L * L + L * L + 2 * W * (L + 2) ** 2 + (K + 1) * (channels + G * L))
+    return 8 * (W * (L + 2) ** 2 + 2 * W * L * L + L * L + (K + 1) * G * L)
+
+
+def _mvdr_shapes(params: MvdrParams, channels: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the working set over cols columns, in _mvdr_block's order:
+    bordered stack, suffix sums, next chunk's Grams, prefix, Gram batch."""
+    L, K = params.subarray_len, params.temporal_half_window
+    W, G = 2 * K + 1, channels - L + 1
+    return ((W, cols, L + 2, L + 2), (W, cols, L, L), (W, cols, L, L), (cols, L, L),
+            (K + 1, cols, G, L))
+
+
+def _mvdr_workspace(params: MvdrParams, channels: int, width: int) -> list[np.ndarray]:
+    """One worker's working set for blocks of up to width columns, as flat
+    float64 buffers: a block takes the leading part of each in its own
+    shape, so its arrays are contiguous whatever its width."""
+    return [np.empty(math.prod(shape)) for shape in _mvdr_shapes(params, channels, width)]
 
 
 def _mvdr_rows(samples: np.ndarray, r0: int, c0: int, A: np.ndarray,
@@ -180,12 +214,15 @@ def _mvdr_rows(samples: np.ndarray, r0: int, c0: int, A: np.ndarray,
     out[...] = np.einsum("ncl,ncl->nc", y, z) / np.einsum("ncl,ncl->nc", y, y)
 
 
-def _mvdr_block(samples: np.ndarray, c0: int, params: MvdrParams, out: np.ndarray) -> None:
+def _mvdr_block(samples: np.ndarray, c0: int, params: MvdrParams, out: np.ndarray,
+                workspace: list[np.ndarray]) -> None:
     """Every output row of one column block by the van Herk/Gil-Werman scheme.
 
     samples [rows, cols, channels] and out [rows, cols] are the block's
-    columns, c0 its first global column. Padded position p holds the Gram
-    of row clip(p - K), and row r sums positions r .. r + 2K. Positions
+    columns, c0 its first global column, and workspace the worker's buffers
+    (_mvdr_workspace), so a step allocates only the Cholesky factor and
+    small temporaries. Padded position p holds the Gram of row
+    clip(p - K), and row r sums positions r .. r + 2K. Positions
     fall in chunks of W = 2K + 1, so that window is the suffix of r's chunk
     from r plus the prefix of the next chunk up to r + 2K (just the whole
     chunk when r starts one). Each step takes one chunk of output rows: it
@@ -196,9 +233,13 @@ def _mvdr_block(samples: np.ndarray, c0: int, params: MvdrParams, out: np.ndarra
     factor and sums are its own, so its bits depend neither on the block
     width nor on the worker count.
     """
-    rows, cols, _ = samples.shape
+    rows, cols, channels = samples.shape
     L, K = params.subarray_len, params.temporal_half_window
     W = 2 * K + 1
+    A, suffix, nxt, prefix, batch = (
+        buf[:math.prod(shape)].reshape(shape)
+        for buf, shape in zip(workspace, _mvdr_shapes(params, channels, cols)))
+    windows = sliding_window_view(samples, L, axis=2)
 
     def fill(grams: np.ndarray, p0: int, m: int) -> None:
         # grams[:m] = the Grams of positions p0 .. p0 + m - 1. Their rows
@@ -210,8 +251,8 @@ def _mvdr_block(samples: np.ndarray, c0: int, params: MvdrParams, out: np.ndarra
         s = int(np.count_nonzero(t == lo)) - 1
         for r in range(lo, hi, K + 1):
             e = min(r + K + 1, hi)
-            subs = np.ascontiguousarray(
-                sliding_window_view(samples[r:e].astype(np.float64), L, axis=2))
+            subs = batch[:e - r]
+            subs[...] = windows[r:e]  # float32 subarrays to float64, one copy
             np.matmul(subs.transpose(0, 1, 3, 2), subs, out=grams[s + r - lo:s + e - lo])
         grams[:s] = grams[s]
         grams[s + hi - lo:m] = grams[s + hi - lo - 1]
@@ -220,14 +261,15 @@ def _mvdr_block(samples: np.ndarray, c0: int, params: MvdrParams, out: np.ndarra
         for i in range(W - 2, -1, -1):
             grams[i] += grams[i + 1]
 
-    A = np.zeros((W, cols, L + 2, L + 2))
+    # The buffers hold the worker's last block, maybe in another shape:
+    # reset the border (ones in row and column L, zeros beyond). R is
+    # written before every use.
+    A[..., L:, :] = A[..., :L, L:] = 0.0
     A[..., L, :L] = A[..., :L, L] = 1.0
     R = A[..., :L, :L]
-    prefix = np.empty((cols, L, L))
     # suffix holds the current chunk's suffix sums, nxt the next chunk's
     # Grams; once a chunk's rows are out, nxt becomes the suffix and the
     # old suffix buffer takes the chunk after.
-    suffix, nxt = np.empty((W, cols, L, L)), np.empty((W, cols, L, L))
     fill(suffix, 0, W)
     to_suffix_sums(suffix)
     for base in range(0, rows, W):
@@ -279,14 +321,21 @@ def mvdr(rf: RfVolume, params: MvdrParams) -> BeamformedImage:
             f"subarray_len {params.subarray_len} exceeds {rf.num_channels} channels"
         )
     rows, cols = rf.grid.num_rows, rf.grid.num_cols
-    width = max(1, _VAN_HERK_BYTES // _mvdr_column_bytes(params, rf.num_channels))
+    width = max(1, min(cols, _VAN_HERK_BYTES // _mvdr_column_bytes(params, rf.num_channels)))
+    blocks = -(-cols // width)
+    # One working set a range, allocated on the calling thread, so no pool
+    # thread's malloc arena holds MVDR's buffers; each range takes one.
+    workspaces = [_mvdr_workspace(params, rf.num_channels, width)
+                  for _ in range(worker_count(blocks))]
     out = np.empty((rows, cols), dtype=np.float64)
 
     def run(lo: int, hi: int) -> None:
+        workspace = workspaces.pop()  # atomic: ranges never share a set
         for c0 in range(lo * width, min(hi * width, cols), width):
-            _mvdr_block(rf.samples[:, c0:c0 + width], c0, params, out[:, c0:c0 + width])
+            _mvdr_block(rf.samples[:, c0:c0 + width], c0, params, out[:, c0:c0 + width],
+                        workspace)
 
-    run_ranges(-(-cols // width), run)
+    run_ranges(blocks, run)
     return BeamformedImage(grid=rf.grid, values=out)
 
 

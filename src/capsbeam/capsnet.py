@@ -456,13 +456,16 @@ class _FloatArith:
         return squash(s)
 
     def route(self, caps, routing: RoutingCfg, names, trace):
-        """dynamic_routing's bytes for caps [pixels, n_in, dim] broadcast over
-        the outputs, in closed form; the one place this is argued. The zero
-        logits' softmax is the uniform c0, so every output gets the loop's
-        s = c0 * sum_i u_i (its products, in its order) and v. Each agreement
-        row d_i = u_i . v is then constant over the outputs, so each later
-        logit row is constant and finite (|u_i|, |v| < 1) and every softmax
-        is c0 again. The trace gets the peaks of the loop's record.
+        """dynamic_routing's bytes for caps [pixels, n_in, dim >= 2] broadcast
+        over the outputs, in closed form; the one place this is argued. The
+        zero logits' softmax is the uniform c0, so every output gets the
+        loop's s = c0 * sum_i u_i (its products, in its order) and v. Each
+        agreement row d_i = u_i . v is then constant over the outputs, so
+        each later logit row is constant and finite (|u_i|, |v| < 1) and
+        every softmax is c0 again. The trace gets the peaks of the loop's
+        record. At dim 1 the loop's einsum sums the inputs in another order:
+        v then differs by at most 1.5 ulp of 1 and the traced peaks by 3 ulp
+        (measured over n_in 1-8, n_out 1-4 and 1-5 iterations).
         """
         c0 = routing_softmax(np.zeros(routing.num_out_capsules))[0]
         v = squash(_trace(trace, names[2], (c0 * caps).sum(axis=1)[:, None]))
@@ -509,7 +512,7 @@ def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.
             f"network expects {cfg.conv_layers[0].in_ch} channels, volume has {rf.num_channels}"
         )
     stored = iter(cfg.weighted_layers())  # bundle order: conv, caps, fc, as below
-    stages = []  # (kernel height, conv output name, conv, (capsules, squash name) or None)
+    stages = []  # (kernel height, conv output name, conv, (capsule shape, squash name) or None)
     src = "input"
     for i, layer in enumerate(cfg.conv_layers):
         dst = f"conv{i}.out"
@@ -518,7 +521,7 @@ def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.
     for i, layer in enumerate(cfg.caps_conv_layers):
         pre, dst = f"caps{i}.pre", f"caps{i}.out"
         stages.append((layer.kernel_h, pre, arith.conv(next(stored), src, pre, relu=False),
-                       (layer.num_capsules, dst)))
+                       ((layer.num_capsules, layer.capsule_dim), dst)))
         src = dst
     routing = cfg.routing
     route_names = (src, "routing.logits", "routing.pre", "routing.out")
@@ -558,8 +561,10 @@ def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.
                     held[k] = x[len(x) - keep:].copy()
                 done[k] = stop
                 if capsules is not None:
-                    num_capsules, dst = capsules
-                    v = arith.squash(y.reshape(*y.shape[:2], num_capsules, -1), name, dst)
+                    # A stage that owes no rows this block still squashes its
+                    # empty output, so the shape is stated, not inferred.
+                    shape, dst = capsules
+                    v = arith.squash(y.reshape(*y.shape[:2], *shape), name, dst)
                     y = _trace(local, dst, v).reshape(y.shape)
                 x = y
             v = arith.route(x.reshape(-1, routing.num_in_capsules, routing.in_dim),

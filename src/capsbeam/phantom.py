@@ -22,9 +22,10 @@ from .errors import InvalidConfig, NonFinite, OutOfField, ShapeMismatch
 # Envelope cutoff for pulse evaluation windows; below this the tail is dropped.
 _PULSE_TAIL = 1e-10
 _PULSE_BANDWIDTH = 0.6
-# Float64 values per worker step, so temporaries stay at 128 KB: what a
-# worker thread allocates stays resident in its malloc arena after the call,
-# and 4x larger steps raised the peak RSS of a later full-scale inference by
+# Float64 values per worker step, so temporaries stay at 128 KB: what a pool
+# thread allocates stays resident in its malloc arena after the call (the
+# calling thread, the first worker, allocates from the main heap), and 4x
+# larger steps raised the peak RSS of a later full-scale inference by
 # 3-8 MB. Work too small to give each thread one step runs inline.
 _STEP_SAMPLES = 1 << 14
 

@@ -12,6 +12,8 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -344,7 +346,7 @@ def test_network_opens_one_pool_at_most(monkeypatch, toy_cfg, loud_toy_weights, 
                 lambda rf: infer_quantized(rf, toy_cfg, qbundle)):
         pools.clear()
         run(wide_rf)
-        assert pools == [2]
+        assert pools == [1]
         pools.clear()
         run(toy_rf)
         assert pools == []
@@ -354,6 +356,84 @@ def test_network_opens_one_pool_at_most(monkeypatch, toy_cfg, loud_toy_weights, 
                          f_in=6, f_w=6, f_b=10, f_out=6)
     sim_conv_layer(rng.integers(-500, 500, size=(9, 7, 5)).astype(np.int16), spec, AccelConfig())
     assert pools == []
+
+
+def test_run_ranges_calling_thread_runs_the_first_range(monkeypatch):
+    calls = []
+
+    def record(lo, hi):
+        calls.append((lo, hi, threading.get_ident()))
+
+    monkeypatch.setenv("CAPSBEAM_THREADS", "3")
+    beamform.run_ranges(10, record)
+    main = threading.get_ident()
+    assert [(lo, hi) for lo, hi, ident in calls if ident == main] == [(0, 3)]
+    assert sorted((lo, hi) for lo, hi, _ in calls) == [(0, 3), (3, 6), (6, 10)]
+
+
+@pytest.mark.parametrize("threads, n, grain", [("1", 7, 1), ("2", 7, 1), ("3", 7, 1),
+                                               ("4", 3, 1), ("4", 10, 4), ("2", 0, 1)])
+def test_run_ranges_runs_every_range_once(monkeypatch, threads, n, grain):
+    seen = []
+    monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+    beamform.run_ranges(n, lambda lo, hi: seen.append((lo, hi)), grain=grain)
+    seen.sort()
+    assert len(seen) == beamform.worker_count(n, grain)
+    assert seen[0][0] == 0 and seen[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+    assert all(hi - lo >= min(grain, n) for lo, hi in seen)
+
+
+@pytest.mark.parametrize("failing", [(0, 2), (1, 2), (0, 1, 2)])
+def test_run_ranges_raises_the_first_failing_range(monkeypatch, failing):
+    # Every range runs to its end, and the lowest failing range's error wins,
+    # whichever thread ran it and whichever finished first.
+    finished = []
+
+    def fn(lo, hi):
+        k = lo // 4
+        if k not in failing:
+            finished.append(k)
+            return
+        if k == failing[0]:
+            time.sleep(0.05)  # the first failure also comes last
+        raise ValueError(f"range {k}")
+
+    monkeypatch.setenv("CAPSBEAM_THREADS", "3")
+    with pytest.raises(ValueError, match=f"range {failing[0]}"):
+        beamform.run_ranges(12, fn)
+    assert sorted(finished) == sorted(set(range(3)) - set(failing))
+
+
+def test_mvdr_workspaces_are_the_budgeted_bytes(monkeypatch):
+    # MVDR's byte budget, taken from what it allocates: one working set a
+    # worker, made on the calling thread, each width x _mvdr_column_bytes,
+    # and every block computed in one of them.
+    made, used = [], []
+    real_workspace, real_block = beamform._mvdr_workspace, beamform._mvdr_block
+
+    def workspace(*args):
+        made.append((real_workspace(*args), threading.get_ident()))
+        return made[-1][0]
+
+    def block(*args):
+        used.append(args[-1])
+        return real_block(*args)
+
+    monkeypatch.setattr(beamform, "_mvdr_workspace", workspace)
+    monkeypatch.setattr(beamform, "_mvdr_block", block)
+    monkeypatch.setenv("CAPSBEAM_THREADS", "2")
+    params = MvdrParams()
+    rf = _rf(np.random.default_rng(13).standard_normal((20, 12, 64)))
+    mvdr(rf, params)
+    width = beamform._VAN_HERK_BYTES // beamform._mvdr_column_bytes(params, 64)
+    assert width == 4  # 3 blocks over 2 workers
+    assert len(made) == 2 and len(used) == 3
+    for buffers, ident in made:
+        assert ident == threading.get_ident()
+        assert all(buf.dtype == np.float64 for buf in buffers)
+        assert sum(buf.nbytes for buf in buffers) == width * beamform._mvdr_column_bytes(params, 64)
+    assert {id(buffers) for buffers in used} == {id(buffers) for buffers, _ in made}
 
 
 def test_thread_budget_parsing(monkeypatch):

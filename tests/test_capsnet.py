@@ -6,6 +6,8 @@ straight-loop transliteration of their definitions; routing invariants
 the final iteration) are exercised with hypothesis.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,6 +311,36 @@ def test_float_route_is_dynamic_routing_on_broadcast_predictions():
                 }
 
 
+def test_float_route_claim_holds_from_capsule_dim_two():
+    # _FloatArith.route's byte claim on every small shape: dims 2-8 give the
+    # loop's bytes and traced peaks; at dim 1, where the loop's einsum sums
+    # the inputs in another order, they stay within the docstring's bound.
+    rng = np.random.default_rng(30)
+    eps = np.finfo(np.float64).eps
+    names = ("caps", "routing.logits", "routing.pre", "routing.out")
+    for dim, n_in, n_out in itertools.product(range(1, 9), range(1, 9), range(1, 5)):
+        caps = squash(rng.standard_normal((16, n_in, dim)) * 3)
+        u_hat = np.broadcast_to(caps[:, :, None], (16, n_in, n_out, dim))
+        for iterations in (1, 3):
+            trace: dict = {}
+            got = capsnet._FloatArith(None).route(
+                caps, RoutingCfg(n_in, dim, n_out, dim, iterations), names, trace)
+            record: list[RoutingState] = []
+            ref = dynamic_routing(u_hat, iterations, record=record)
+            peaks = {name: max(float(np.max(np.abs(getattr(state, field))))
+                               for state in record)
+                     for name, field in (("routing.logits", "logits_b"),
+                                         ("routing.pre", "pre_squash_s"))}
+            case = f"dim {dim}, n_in {n_in}, n_out {n_out}, {iterations} iterations"
+            if dim >= 2:
+                assert got.tobytes() == ref.tobytes(), case
+                assert trace == peaks, case
+            else:
+                np.testing.assert_allclose(got, ref, rtol=0, atol=2 * eps, err_msg=case)
+                for name, peak in peaks.items():
+                    assert abs(trace[name] - peak) <= 3 * eps * peak, case
+
+
 # ---------------------------------------------------------------- layers
 
 
@@ -470,3 +502,39 @@ def test_walk_computes_each_row_once_but_at_worker_seams(threads, monkeypatch, t
             rows[layers[key]] += n
         assert rows == {name: 70 + (threads - 1) * 2 * halo_after.get(name, 0)
                         for name in names}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_walk_runs_a_caps_stage_left_with_no_rows(threads, monkeypatch):
+    # caps0 owes caps1's one-row halo, so on 600 columns (one-row blocks)
+    # it has computed every row before the last block and computes none
+    # there; its squash still gets an empty [0, 600, 2, 4] input. Float,
+    # calibration and fixed point must give the bytes of one whole-frame
+    # block on one worker.
+    from dataclasses import replace
+
+    from capsbeam.quantized import calibrate, infer_quantized, quantize_bundle
+
+    cfg = toy_config()
+    cfg = replace(cfg, caps_conv_layers=(cfg.caps_conv_layers[0],
+                                         CapsConvLayerCfg(3, 3, 8, 8, 2, 4)))
+    weights = init_weights(cfg, seed=5)
+    samples = np.random.default_rng(3).standard_normal((20, 600, 8)).astype(np.float32)
+    rf = RfVolume(grid=PixelGrid(num_rows=20, num_cols=600), num_channels=8, samples=samples)
+
+    def run():
+        plan = calibrate(weights, [rf], cfg)
+        return (infer(rf, cfg, weights), plan,
+                infer_quantized(rf, cfg, quantize_bundle(weights, plan)))
+
+    monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 10**9)
+    ref = run()
+    monkeypatch.undo()
+    monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+    env, plan, fixed = run()
+    assert np.count_nonzero(ref[2].i_part) > 1000
+    assert plan == ref[1]
+    for got, want in ((env, ref[0]), (fixed, ref[2])):
+        assert got.i_part.tobytes() == want.i_part.tobytes()
+        assert got.q_part.tobytes() == want.q_part.tobytes()
