@@ -139,25 +139,23 @@ def das(rf: RfVolume, apodization: np.ndarray) -> BeamformedImage:
     return BeamformedImage(grid=rf.grid, values=values)
 
 
-def _mvdr_column_bytes(params: MvdrParams, channels: int) -> int:
-    """Float64 bytes one column adds to an MVDR worker's working set
-    (_mvdr_workspace): the bordered stack (2K+1 [L+2, L+2]), the chunk's
-    suffix sums and the next chunk's Grams (2K+1 [L, L] each), the prefix
-    [L, L] and one Gram batch's subarrays (K + 1 rows of G length-L
-    windows). np.linalg.cholesky's factor, one more [L+2, L+2] a pixel of
-    the chunk, is the one large array a step allocates besides."""
-    L, K = params.subarray_len, params.temporal_half_window
-    W, G = 2 * K + 1, channels - L + 1
-    return 8 * (W * (L + 2) ** 2 + 2 * W * L * L + L * L + (K + 1) * G * L)
-
-
 def _mvdr_shapes(params: MvdrParams, channels: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    """Shapes of the working set over cols columns, in _mvdr_block's order:
-    bordered stack, suffix sums, next chunk's Grams, prefix, Gram batch."""
+    """Float64 shapes of an MVDR worker's working set over cols columns, in
+    _mvdr_block's order: the bordered stack (2K+1 [L+2, L+2] a column), the
+    chunk's suffix sums and the next chunk's Grams (2K+1 [L, L] each), the
+    prefix [L, L] and one Gram batch's subarrays (K + 1 rows of G
+    length-L windows)."""
     L, K = params.subarray_len, params.temporal_half_window
     W, G = 2 * K + 1, channels - L + 1
     return ((W, cols, L + 2, L + 2), (W, cols, L, L), (W, cols, L, L), (cols, L, L),
             (K + 1, cols, G, L))
+
+
+def _mvdr_column_bytes(params: MvdrParams, channels: int) -> int:
+    """Bytes one column adds to an MVDR worker's working set. Besides it, a
+    step allocates np.linalg.cholesky's factor, one more [L+2, L+2] a pixel
+    of the chunk."""
+    return sum(8 * math.prod(shape) for shape in _mvdr_shapes(params, channels, 1))
 
 
 def _mvdr_workspace(params: MvdrParams, channels: int, width: int) -> list[np.ndarray]:

@@ -436,6 +436,36 @@ def test_mvdr_workspaces_are_the_budgeted_bytes(monkeypatch):
     assert {id(buffers) for buffers in used} == {id(buffers) for buffers, _ in made}
 
 
+def test_mvdr_workers_never_share_a_working_set(monkeypatch):
+    # More workers than cores, switching threads as often as the interpreter
+    # allows: each range must take a working set of its own (two ranges in
+    # one set would mix their Grams), and the bytes must stay one worker's.
+    owners = {}
+    real_block = beamform._mvdr_block
+
+    def block(*args):
+        owners.setdefault(id(args[-1]), set()).add(threading.get_ident())
+        return real_block(*args)
+
+    rng = np.random.default_rng(17)
+    samples = rng.standard_normal((9, 16, 6)).astype(np.float32)
+    params = MvdrParams(subarray_len=3, temporal_half_window=1)
+    _block_columns(monkeypatch, params, 6, 1)
+    monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+    whole = mvdr(_rf(samples), params).values.tobytes()
+    monkeypatch.setattr(beamform, "_mvdr_block", block)
+    monkeypatch.setenv("CAPSBEAM_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            owners.clear()
+            assert mvdr(_rf(samples), params).values.tobytes() == whole
+            assert len(owners) == 8 and all(len(t) == 1 for t in owners.values())
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_thread_budget_parsing(monkeypatch):
     monkeypatch.delenv("CAPSBEAM_THREADS", raising=False)
     assert thread_budget() == 1
