@@ -43,8 +43,8 @@ from .errors import InvalidConfig, ShapeMismatch
 
 # Bytes of one im2col copy. conv2d takes output rows in chunks of as many
 # whole rows as fit (at least one), one after another on the calling
-# thread, so this bounds the copy a worker holds (3 rows of conv0 at
-# default.ini, 3.5 MB); a desk-size conv is one chunk.
+# thread, so this bounds the copy a worker holds (7 rows of conv0 in
+# float32 at default.ini, 4.1 MB); a desk-size conv is one chunk.
 _IM2COL_BYTES = 2**22
 # Pixels per block, rounded down to whole image rows (at least one): the
 # rows walk streams through the layers per step (8 at default.ini), and
@@ -437,8 +437,17 @@ def _trace(trace: dict | None, name: str, values: np.ndarray):
 
 @dataclass(frozen=True)
 class _FloatArith:
-    """walk's float64 arithmetic: conv2d, squash, and the closed form of
-    dynamic_routing on the input capsules broadcast over the outputs."""
+    """walk's float arithmetic: conv2d, squash, and the closed form of
+    dynamic_routing on the input capsules broadcast over the outputs.
+
+    Dtype policy: the convs and caps convs take the float32 volume and the
+    bundle's float32 weights and biases, so their im2col slabs, gemms and
+    the caps squashes are float32. Routing runs in float64, as
+    dynamic_routing does, and the fc layers run in float64 on its output
+    (their float32 weights promoted). This path is the reference the int16
+    path is calibrated and checked against; only the fixed-point convs need
+    float64, to sum exactly (quantized.MAX_EXACT_TAPS).
+    """
 
     weights: WeightBundle
 
@@ -448,7 +457,8 @@ class _FloatArith:
     leave = enter
 
     def conv(self, layer: WeightedLayer, src, dst, relu: bool):
-        w, b = (t.data.astype(np.float64) for t in layer_entries(self.weights, layer))
+        entries = layer_entries(self.weights, layer)
+        w, b = (t.data.astype(np.float32, copy=False) for t in entries)
         w = w.reshape(layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
         return partial(conv2d, weights=w, bias=b, relu=relu)
 
@@ -585,7 +595,7 @@ def walk(rf: RfVolume, cfg: CapsConfig, arith, trace: dict | None = None) -> np.
 
 def infer(rf: RfVolume, cfg: CapsConfig, weights: WeightBundle,
           trace: dict | None = None) -> EnvelopeImage:
-    """Run the float network (walk in float64) over a ToF-corrected volume.
+    """Run the float network (walk, _FloatArith's dtypes) over a ToF-corrected volume.
 
     The output bytes do not depend on CAPSBEAM_THREADS. trace, when
     given, accumulates every stage's max absolute activation under the
