@@ -7,6 +7,8 @@ the final iteration) are exercised with hypothesis.
 """
 
 import itertools
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from capsbeam.capsnet import (
 )
 from capsbeam.data_model import PixelGrid, RfVolume, bundle_hash
 from capsbeam.errors import InvalidConfig, MissingWeight, ShapeMismatch
+from capsbeam.quantized import plan_from_trace
 
 
 # ---------------------------------------------------------------- conv2d
@@ -447,6 +450,67 @@ def test_infer_bytes_independent_of_threads_and_blocks(monkeypatch, toy_cfg,
         env = infer(wide_rf, toy_cfg, loud_toy_weights)
         assert env.i_part.tobytes() == ref.i_part.tobytes(), threads
         assert env.q_part.tobytes() == ref.q_part.tobytes(), threads
+
+
+@dataclass(frozen=True)
+class _Float64Arith(capsnet._FloatArith):
+    """The float walk with every conv in float64: the reference that the
+    float32 convs are bounded against."""
+
+    def conv(self, layer, src, dst, relu):
+        w, b = (t.data.astype(np.float64) for t in capsnet.layer_entries(self.weights, layer))
+        w = w.reshape(layer.kernel_h, layer.kernel_w, layer.in_ch, layer.out_ch)
+        return partial(conv2d, weights=w, bias=b, relu=relu)
+
+
+def test_float_walk_dtypes(monkeypatch, toy_cfg, toy_weights, toy_rf):
+    # _FloatArith's dtype policy: conv and caps-conv slabs and weights in
+    # float32; the fc layers take routing's float64 output. toy_rf is one
+    # block and every toy conv one chunk, so correlate runs once a layer.
+    seen = []
+    real = capsnet.correlate
+    monkeypatch.setattr(capsnet, "correlate",
+                        lambda padded, weights: seen.append((padded.dtype, weights.dtype))
+                        or real(padded, weights))
+    monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+    infer(toy_rf, toy_cfg, toy_weights)
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert seen == [(f32, f32)] * 4 + [(f64, f32)] * 4
+
+
+def _default_width_case():
+    cfg = default_config()
+    rng = np.random.default_rng(5)
+    samples = rng.normal(size=(12, 10, 128)).astype(np.float32)
+    rf = RfVolume(grid=PixelGrid(num_rows=12, num_cols=10), num_channels=128, samples=samples)
+    return cfg, init_weights(cfg, seed=1234), rf
+
+
+@pytest.mark.parametrize("case", ["toy", "default-width"])
+def test_float32_convs_track_a_float64_reference(case, toy_cfg, loud_toy_weights, wide_rf):
+    # Measured worst cases, I/Q deviation over the reference's peak and
+    # relative trace deviation: toy 8.3e-7 and 1.2e-7, default width
+    # 8.5e-7 and 6.1e-7; on the full default.ini frame, init_weights seeds
+    # 1234 and 7, 9.6e-7 and 3.7e-7. The bounds sit within 10x of these.
+    iq_bound, trace_bound = 4e-6, 4e-6
+    if case == "toy":
+        cfg, weights, rf = toy_cfg, loud_toy_weights, wide_rf
+    else:
+        cfg, weights, rf = _default_width_case()
+    outs, traces = [], []
+    for arith in (capsnet._FloatArith(weights), _Float64Arith(weights)):
+        trace: dict = {}
+        outs.append(capsnet.walk(rf, cfg, arith, trace))
+        traces.append(trace)
+    (got, ref), (got_trace, ref_trace) = outs, traces
+    peak = np.max(np.abs(ref))
+    assert peak > 0
+    assert np.max(np.abs(got - ref)) <= iq_bound * peak
+    assert got_trace.keys() == ref_trace.keys()
+    for name, ref_peak in ref_trace.items():
+        assert abs(got_trace[name] - ref_peak) <= trace_bound * ref_peak, name
+    assert (plan_from_trace(weights, got_trace).scales
+            == plan_from_trace(weights, ref_trace).scales)
 
 
 def test_infer_channel_mismatch(toy_cfg, toy_weights):
