@@ -6,6 +6,24 @@ by transmit time (z cos a + x sin a) / c plus the return path to the
 element. Desk-scale stand-in for a full acoustic simulator: no
 attenuation, no element directivity, single scattering only. Both stages
 split over CAPSBEAM_THREADS workers, and their bytes never depend on how many.
+
+The pulse is gausspulse's exp(-a t^2) cos(w t), factored about each
+scatterer-element pair's nearest sample n0 = rint(tau fs): with
+u = tau - n0 / fs and tap offsets d_k = k / fs, tap k sits at t = d_k - u and
+
+    pulse = e^(-a u^2) e^(2a d_k u) (C_k cos wu + S_k sin wu),
+    C_k = e^(-a d_k^2) cos w d_k,  S_k = e^(-a d_k^2) sin w d_k,
+
+so C, S and 2a d are tables made once a call, each pair takes one exp,
+one cos and one sin, and each tap one exp and four multiply-adds; no
+trig function runs per tap (_pulse_taps). Synth works in tiles of one
+scatterer chunk by one element chunk (_TILE_VALUES), and each tile ends
+in one np.add.at, scatterer chunks in realize() order, so every sample
+adds its contributions in scatterer order for any tiling or worker count.
+The arrival-time pass and ToF step over _STEP_SAMPLES values, kept small
+because what a pool thread allocates stays in its malloc arena; synth's
+tiles are 4x larger, since each ends in a GIL-held np.add.at, and their
+buffers come from the calling thread.
 """
 
 from __future__ import annotations
@@ -15,19 +33,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import run_ranges
+from .beamform import run_ranges, worker_count
 from .data_model import PixelGrid, ProbeGeometry, RfVolume, require_finite_fields
 from .errors import InvalidConfig, NonFinite, OutOfField, ShapeMismatch
 
 # Envelope cutoff for pulse evaluation windows; below this the tail is dropped.
 _PULSE_TAIL = 1e-10
 _PULSE_BANDWIDTH = 0.6
-# Float64 values per worker step, so temporaries stay at 128 KB: what a pool
-# thread allocates stays resident in its malloc arena after the call (the
-# calling thread, the first worker, allocates from the main heap), and 4x
-# larger steps raised the peak RSS of a later full-scale inference by
-# 3-8 MB. Work too small to give each thread one step runs inline.
+# Float64 values per worker step of the arrival loop and of ToF, so their
+# temporaries stay at 128 KB: what a pool thread allocates stays resident
+# in its malloc arena after the call (the calling thread, the first worker,
+# allocates from the main heap), and 4x larger ToF steps raised the peak
+# RSS of a later full-scale inference by 3-8 MB.
 _STEP_SAMPLES = 1 << 14
+# Values in one synth tile (scatterers x elements x taps). Each tile ends
+# in one np.add.at, which holds the GIL, so small tiles serialize the
+# workers: on 2 workers a default.ini call took 65-75 ms at 2^14 values and
+# 51-73 ms at 2^15, against 51-52 ms at 2^16 (BENCH_synth_pulse.json). A
+# worker's three tile buffers take 512 KB each, and the calling thread
+# allocates them, as MVDR's working sets, so no pool thread's arena keeps
+# them. Work too small to give each worker one tile runs inline.
+_TILE_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,27 +115,64 @@ def _pulse_exponent(center_freq_hz: float) -> float:
     return -((np.pi * center_freq_hz * _PULSE_BANDWIDTH) ** 2) / (4.0 * np.log(ref))
 
 
-def _pulse_wave(t: np.ndarray, center_freq_hz: float) -> np.ndarray:
-    # gausspulse's in-phase output, evaluated in its operation order.
-    a = _pulse_exponent(center_freq_hz)
-    return np.exp(-a * t * t) * np.cos(2 * np.pi * center_freq_hz * t)
-
-
 def _transmit_delay(geom: ProbeGeometry, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Time for the steered plane wave to reach (x, z)."""
     theta, c = geom.transmit_angle_rad, geom.speed_of_sound_mps
     return (z * np.cos(theta) + x * np.sin(theta)) / c
 
 
-def _delays(geom: ProbeGeometry, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Two-way time from the steered transmit to (x, z) and back, last axis per element."""
+def _delays(geom: ProbeGeometry, x: np.ndarray, z: np.ndarray,
+            elements: np.ndarray) -> np.ndarray:
+    """Two-way time from the steered transmit to (x, z) and back to each of
+    the element positions, last axis per element."""
     return (_transmit_delay(geom, x, z)
-            + np.hypot(x - geom.element_positions(), z) / geom.speed_of_sound_mps)
+            + np.hypot(x - elements, z) / geom.speed_of_sound_mps)
 
 
 def _pulse_halfwidth_s(center_freq_hz: float) -> float:
     # Time where the envelope falls to _PULSE_TAIL.
     return float(np.sqrt(-np.log(_PULSE_TAIL) / _pulse_exponent(center_freq_hz)))
+
+
+@dataclass(frozen=True)
+class _PulseTables:
+    """Per-tap tables of the factored pulse (module docstring), taps
+    d_k = k / fs for |k| <= half_n."""
+
+    exponent: float
+    omega: float
+    cos_taps: np.ndarray
+    sin_taps: np.ndarray
+    slope: np.ndarray
+
+    @classmethod
+    def build(cls, geom: ProbeGeometry) -> "_PulseTables":
+        f0, fs = geom.center_freq_hz, geom.sample_rate_hz
+        a, omega = _pulse_exponent(f0), 2 * np.pi * f0
+        half_n = int(np.ceil(_pulse_halfwidth_s(f0) * fs))
+        d = np.arange(-half_n, half_n + 1) / fs
+        envelope = np.exp(-a * d * d)
+        return cls(a, omega, envelope * np.cos(omega * d), envelope * np.sin(omega * d),
+                   2 * a * d)
+
+
+def _pulse_taps(u: np.ndarray, scale: np.ndarray, tables: _PulseTables,
+                out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """out[..., k] = scale * exp(-a t^2) cos(w t) at t = d_k - u.
+
+    u is [scatterers, elements] and scale broadcasts to it; out and spare
+    are float64 [scatterers, elements, taps], and spare is overwritten.
+    """
+    # einsum forms each outer product's elements as single products, as a
+    # broadcast multiply does, in about half the time at these shapes.
+    g = scale * np.exp(-tables.exponent * u * u)
+    wu = tables.omega * u
+    np.einsum("ij,k->ijk", g * np.cos(wu), tables.cos_taps, out=out)
+    np.einsum("ij,k->ijk", g * np.sin(wu), tables.sin_taps, out=spare)
+    out += spare
+    np.einsum("ij,k->ijk", u, tables.slope, out=spare)
+    out *= np.exp(spare, out=spare)
+    return out
 
 
 def realize(phantom: Phantom, geom: ProbeGeometry, num_time_samples: int) -> np.ndarray:
@@ -165,10 +228,11 @@ def simulate_rx(phantom: Phantom, geom: ProbeGeometry, num_time_samples: int,
     # Each scatterer's first and last arrival, a chunk at a time: no [S, E]
     # array is held, so peak memory does not grow with the scatterer count.
     first, last = np.empty(len(amp)), np.empty(len(amp))
+    elements = geom.element_positions()
     step = max(1, _STEP_SAMPLES // geom.num_elements)
     for s in range(0, len(amp), step):
         chunk = scatterers[s:s + step]
-        tau = _delays(geom, chunk[:, :1], chunk[:, 1:2])
+        tau = _delays(geom, chunk[:, :1], chunk[:, 1:2], elements)
         first[s:s + step], last[s:s + step] = tau.min(axis=1), tau.max(axis=1)
     late = (amp != 0.0) & (last > t_max)
     if late[:len(phantom.scatterers)].any():
@@ -177,26 +241,46 @@ def simulate_rx(phantom: Phantom, geom: ProbeGeometry, num_time_samples: int,
                          f"{last[i]:.3e}s exceeds the {t_max:.3e}s window")
     keep = (amp != 0.0) & ~late
     kept = scatterers[keep]
-    half_n = int(np.ceil(_pulse_halfwidth_s(geom.center_freq_hz) * fs))
-    n_taps = 2 * half_n + 1
+    tables = _PulseTables.build(geom)
+    n_taps = len(tables.slope)
+    half_n = n_taps // 2
     # Element-major traces with pad rows that catch taps outside the trace;
     # an echo before t = 0 (steered, shallow) deepens the pad below.
     pad = half_n - int(np.rint(first[keep].min(initial=0.0) * fs))
     rows = pad + num_time_samples + half_n
     padded = np.zeros((geom.num_elements, rows))
     flat = padded.reshape(-1)
+    # Tiles span the widest worker range if they can, and hold as many
+    # scatterers as fit; the buffers are sized to that, never past the work.
+    grain = -(-_TILE_VALUES // max(1, len(kept) * n_taps))
+    workers = worker_count(geom.num_elements, grain)
+    elem_step = max(1, min(-(-geom.num_elements // workers), _TILE_VALUES // n_taps))
+    scat_step = max(1, min(len(kept), _TILE_VALUES // (elem_step * n_taps)))
+    size = scat_step * elem_step * n_taps
+    # One tile's buffers a worker, allocated on the calling thread, so no
+    # pool thread's malloc arena holds them; each range takes one set.
+    tiles = [(np.empty(size), np.empty(size), np.empty(size, dtype=np.int64))
+             for _ in range(workers)]
+    taps = np.arange(-half_n, half_n + 1)
 
     def scatter(lo: int, hi: int) -> None:
-        base = np.arange(lo, hi)[:, None] * rows + pad
-        step = max(1, _STEP_SAMPLES // ((hi - lo) * n_taps))
-        for s in range(0, len(kept), step):
-            chunk = kept[s:s + step, :, None]
-            tau = _delays(geom, chunk[:, 0], chunk[:, 1])[:, lo:hi, None]
-            taps = np.rint(tau * fs).astype(np.int64) + np.arange(-half_n, half_n + 1)
-            wave = chunk[:, 2:] * _pulse_wave(taps / fs - tau, geom.center_freq_hz)
-            np.add.at(flat, (taps + base).ravel(), wave.ravel())
+        wave, spare, index = tiles.pop()  # atomic: ranges never share a set
+        for e0 in range(lo, hi, elem_step):
+            e1 = min(e0 + elem_step, hi)
+            base = np.arange(e0, e1) * rows + pad
+            for s in range(0, len(kept), scat_step):
+                chunk = kept[s:s + scat_step]
+                shape = (len(chunk), e1 - e0, n_taps)
+                n = shape[0] * shape[1] * n_taps
+                tau = _delays(geom, chunk[:, :1], chunk[:, 1:2], elements[e0:e1])
+                nearest = np.rint(tau * fs)
+                values = _pulse_taps(tau - nearest / fs, chunk[:, 2:], tables,
+                                     wave[:n].reshape(shape), spare[:n].reshape(shape))
+                at = np.add((nearest.astype(np.int64) + base)[..., None], taps,
+                            out=index[:n].reshape(shape))
+                np.add.at(flat, at.reshape(-1), values.reshape(-1))
 
-    run_ranges(geom.num_elements, scatter, grain=-(-_STEP_SAMPLES // max(1, len(kept) * n_taps)))
+    run_ranges(geom.num_elements, scatter, grain=grain)
     out = padded[:, pad:pad + num_time_samples].T
     if noise_std > 0:
         rng = np.random.default_rng(phantom.rng_seed + 1)

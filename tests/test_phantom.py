@@ -7,9 +7,13 @@ fractional sample offset stays well clear of 0.5, making the rounded
 index unambiguous.
 
 _simulate_rx_loop is the independent reference for simulate_rx: one
-np.add.at per scatterer, in realize() order, with a validity mask.
+np.add.at per scatterer, in realize() order, with a validity mask, and
+gausspulse's direct exp(-a t^2) cos(2 pi f t) at every tap, where
+simulate_rx evaluates the pulse factored about the nearest sample.
 """
 
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsbeam import cli, phantom
-from capsbeam.config import parse_config_text
+from capsbeam.config import load_config, parse_config_text
 from capsbeam.data_model import PixelGrid, ProbeGeometry
 from capsbeam.errors import InvalidConfig, NonFinite, OutOfField, ShapeMismatch
 from capsbeam.phantom import CystRegion, Phantom, realize, simulate_rx, tof_correct
@@ -37,7 +41,9 @@ def _simulate_rx_loop(ph, geom, num_time_samples, noise_std=0.0):
     elements = geom.element_positions()
     t_max = (num_time_samples - 1) / fs
     out = np.zeros((num_time_samples, geom.num_elements), dtype=np.float64)
-    half_n = int(np.ceil(phantom._pulse_halfwidth_s(geom.center_freq_hz) * fs))
+    f0 = geom.center_freq_hz
+    a = phantom._pulse_exponent(f0)
+    half_n = int(np.ceil(phantom._pulse_halfwidth_s(f0) * fs))
     offsets = np.arange(-half_n, half_n + 1)
     n_explicit = len(ph.scatterers)
     for idx, (sx, sz, amp) in enumerate(scatterers):
@@ -52,7 +58,7 @@ def _simulate_rx_loop(ph, geom, num_time_samples, noise_std=0.0):
         center = np.rint(tau * fs).astype(np.int64)
         idx_grid = center[:, None] + offsets[None, :]
         t_rel = idx_grid / fs - tau[:, None]
-        wave = amp * phantom._pulse_wave(t_rel, geom.center_freq_hz)
+        wave = amp * (np.exp(-a * t_rel * t_rel) * np.cos(2 * np.pi * f0 * t_rel))
         valid = (idx_grid >= 0) & (idx_grid < num_time_samples)
         elem_grid = np.broadcast_to(np.arange(geom.num_elements)[:, None], idx_grid.shape)
         np.add.at(out, (idx_grid[valid], elem_grid[valid]), wave[valid])
@@ -298,13 +304,15 @@ def test_order_phantom_covers_every_scatterer_kind():
     assert (rows[:, 2] == 0.0).any()
 
 
-@pytest.mark.parametrize("step_samples", [None, 1])
+@pytest.mark.parametrize("tile_values", [None, 1, 3 * 35])
 @pytest.mark.parametrize("noise_std", [0.0, 0.05])
-def test_simulate_rx_matches_loop_for_any_thread_count(monkeypatch, step_samples, noise_std):
-    # One-sample steps put each scatterer in its own np.add.at call, so the
-    # order-sensitive scatterers fall in separate chunks.
-    if step_samples is not None:
-        monkeypatch.setattr(phantom, "_STEP_SAMPLES", step_samples)
+def test_simulate_rx_matches_loop_for_any_thread_count(monkeypatch, tile_values, noise_std):
+    # A one-value budget gives tiles of one scatterer on one element, so the
+    # order-sensitive scatterers land in separate np.add.at calls; three
+    # pulses' worth (35 taps here) gives one-scatterer tiles of three
+    # elements, so every worker range ends in a shorter tile.
+    if tile_values is not None:
+        monkeypatch.setattr(phantom, "_TILE_VALUES", tile_values)
     expected = _simulate_rx_loop(_ORDER_PHANTOM, _ORDER_GEOM, _ORDER_SAMPLES, noise_std)
     assert np.abs(expected).max() > 0.5
     for threads in ("1", "2", "3"):
@@ -312,6 +320,63 @@ def test_simulate_rx_matches_loop_for_any_thread_count(monkeypatch, step_samples
         raw = simulate_rx(_ORDER_PHANTOM, _ORDER_GEOM, _ORDER_SAMPLES, noise_std=noise_std)
         assert raw.dtype == np.float32
         assert raw.tobytes() == expected.tobytes(), f"{threads} threads"
+
+
+def test_factored_pulse_matches_direct_formula_in_float64():
+    # Over delays spanning default.ini's recording window the factored
+    # pulse stays within 3.9e-13 of the unit peak of the direct
+    # exp(-a t^2) cos(2 pi f t) (200,000 delays measured); most of that is
+    # the rounding of t or u next to a delay of up to 67 us. A float32
+    # carrier or a dropped e^(2a d u) factor misses by 1e-8 or more.
+    geom = load_config("configs/default.ini").probe
+    fs, f0 = geom.sample_rate_hz, geom.center_freq_hz
+    tables = phantom._PulseTables.build(geom)
+    half_n = len(tables.slope) // 2
+    tau = np.random.default_rng(8).uniform(0.0, 2047 / fs, size=(20_000, 1))
+    nearest = np.rint(tau * fs)
+    out, spare = np.empty((2, 20_000, 1, 2 * half_n + 1))
+    phantom._pulse_taps(tau - nearest / fs, np.ones((20_000, 1)), tables, out, spare)
+    t = (nearest + np.arange(-half_n, half_n + 1)) / fs - tau
+    a = phantom._pulse_exponent(f0)
+    direct = np.exp(-a * t * t) * np.cos(2 * np.pi * f0 * t)
+    assert np.abs(out[:, 0] - direct).max() <= 2e-12
+
+
+def test_simulate_rx_within_one_ulp_of_direct_pulse_at_default_geometry(monkeypatch):
+    # default.ini's fourth angle: 1,414 scatterers on 128 elements. Every
+    # float32 sample equals the direct-formula loop's or is its neighbour;
+    # 3 of 262,144 samples differ here (1.1e-5), and 25 of 3,932,160 over
+    # phantom seeds 1234, 90210 and 5 at all five angles.
+    monkeypatch.setenv("CAPSBEAM_THREADS", "2")
+    cfg = load_config("configs/default.ini")
+    geom = replace(cfg.probe, transmit_angle_rad=cfg.angles_rad[3])
+    assert cfg.phantom.background_density_per_mm2 == 1.0
+    raw = simulate_rx(cfg.phantom, geom, cfg.num_time_samples)
+    expected = _simulate_rx_loop(cfg.phantom, geom, cfg.num_time_samples)
+    assert np.all((raw == expected) | (np.nextafter(expected, raw) == raw))
+    assert np.count_nonzero(raw != expected) <= 1e-4 * raw.size
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_rx_peak_memory_does_not_grow_with_tiles(monkeypatch, threads):
+    # 10x default.ini's speckle density (1,414 -> 14,133 scatterers) adds
+    # only O(S) rows: realize's columns and the arrival times, 69 bytes a
+    # scatterer measured. Tiles stay at _TILE_VALUES; an [S, E, taps]
+    # float64 array at the higher density would take about 500 MB.
+    monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+    cfg = load_config("configs/default.ini")
+    peaks, counts = [], []
+    for density in (1.0, 10.0):
+        ph = replace(cfg.phantom, background_density_per_mm2=density)
+        counts.append(len(realize(ph, cfg.probe, cfg.num_time_samples)))
+        tracemalloc.start()
+        try:
+            simulate_rx(ph, cfg.probe, cfg.num_time_samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert counts[1] > 9 * counts[0]
+    assert peaks[1] - peaks[0] <= 96 * (counts[1] - counts[0]) + (1 << 18)
 
 
 def test_tof_correct_bytes_independent_of_threads(monkeypatch):
