@@ -5,10 +5,9 @@ a time. MVDR solves the loaded spatial covariance per pixel over
 overlapping subarrays with temporal (row) averaging, steering vector
 all-ones since delays are already applied. Pixels in different columns
 share no MVDR work, so it runs in narrow column blocks sized from a byte
-budget on the block's working set, split over workers; the calling thread
-allocates one working set a worker and is itself the first worker, so
-pool threads only compute (run_ranges). Within a block the subarray Gram
-of each input row is computed once, and the 2K+1-row temporal window
+budget on the block's working set, split over workers, whose working
+sets run_ranges makes on the calling thread. Within a block the subarray
+Gram of each input row is computed once, and the 2K+1-row temporal window
 sums are built from prefix and suffix sums over fixed row chunks (van
 Herk/Gil-Werman), so no snapshot is gathered twice.
 Each step takes one such chunk of output rows: one batch of Grams, one
@@ -16,7 +15,9 @@ stack of bordered matrices and one Cholesky call, so the per-call cost
 does not grow as blocks narrow. Coherent compounding averages beamformed
 values across transmit angles pixel-wise. The envelope stage is a
 frequency-domain Hilbert transform down the rows on numpy.fft, and log
-compression maps magnitudes to a clamped dB scale.
+compression maps magnitudes to a clamped dB scale. DAS and MVDR sum
+floats through BLAS and LAPACK, in the order the machine's kernel picks,
+so their bytes hold per machine, unlike the fixed-point path's (quantized).
 """
 
 from __future__ import annotations
@@ -72,22 +73,24 @@ def worker_count(n: int, grain: int = 1) -> int:
     return max(1, min(thread_budget(), n // grain))
 
 
-def run_ranges(n: int, fn, grain: int = 1) -> None:
+def run_ranges(n: int, fn, grain: int = 1, workspace=None) -> None:
     """Call fn(lo, hi) on worker_count(n, grain) contiguous ranges splitting
     [0, n), so each worker gets at least grain items. The calling thread
     runs the first range itself and a pool of one thread fewer runs the
-    rest, so a single range opens no pool, and what the first range
-    allocates comes from the caller's heap, not from a pool thread's
-    malloc arena. MVDR's column blocks, phantom and capsnet.walk's pixel
-    blocks each split once, at the top, and no fn calls run_ranges again.
-    Errors propagate, the first range's first."""
+    rest, so a single range opens no pool. With workspace, the calling thread
+    first makes ws = workspace(lo, hi) for every range and each range runs
+    fn(lo, hi, ws) on its own, so no pool thread's malloc arena keeps what
+    ranges work in. Callers split once, at the top: no fn calls run_ranges
+    again. Errors propagate, the first range's first."""
     workers = worker_count(n, grain)
-    if workers == 1:
-        return fn(0, n)
     bounds = [n * k // workers for k in range(workers + 1)]
+    calls = [(lo, hi) if workspace is None else (lo, hi, workspace(lo, hi))
+             for lo, hi in zip(bounds, bounds[1:])]
+    if workers == 1:
+        return fn(*calls[0])
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        rest = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        fn(bounds[0], bounds[1])
+        rest = [pool.submit(fn, *args) for args in calls[1:]]
+        fn(*calls[0])
         for future in rest:
             future.result()
 
@@ -321,19 +324,15 @@ def mvdr(rf: RfVolume, params: MvdrParams) -> BeamformedImage:
     rows, cols = rf.grid.num_rows, rf.grid.num_cols
     width = max(1, min(cols, _VAN_HERK_BYTES // _mvdr_column_bytes(params, rf.num_channels)))
     blocks = -(-cols // width)
-    # One working set a range, allocated on the calling thread, so no pool
-    # thread's malloc arena holds MVDR's buffers; each range takes one.
-    workspaces = [_mvdr_workspace(params, rf.num_channels, width)
-                  for _ in range(worker_count(blocks))]
     out = np.empty((rows, cols), dtype=np.float64)
 
-    def run(lo: int, hi: int) -> None:
-        workspace = workspaces.pop()  # atomic: ranges never share a set
+    def run(lo: int, hi: int, workspace: list[np.ndarray]) -> None:
         for c0 in range(lo * width, min(hi * width, cols), width):
             _mvdr_block(rf.samples[:, c0:c0 + width], c0, params, out[:, c0:c0 + width],
                         workspace)
 
-    run_ranges(blocks, run)
+    run_ranges(blocks, run,
+               workspace=lambda lo, hi: _mvdr_workspace(params, rf.num_channels, width))
     return BeamformedImage(grid=rf.grid, values=out)
 
 

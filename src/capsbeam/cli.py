@@ -400,45 +400,44 @@ def _cmd_report(args) -> int:
     out = _OutDir(args.out, cfg.config_hash)
     summary: list[str] = [f"capsbeam {__version__} pipeline report", ""]
 
+    # Only the centre volume outlives its angle: raw and rf go before the next synth.
     center = len(cfg.angles_rad) // 2
-    rf_volumes: list[RfVolume] = []
+    das_imgs = []
     for i, angle in enumerate(cfg.angles_rad):
         geom = replace(cfg.probe, transmit_angle_rad=angle)
         raw = phantom.simulate_rx(ph, geom, cfg.num_time_samples, noise_std=cfg.noise_std)
         out.write_tensor(f"rx_angle{i}.cbtf", Tensor.from_array(raw))
         rf = phantom.tof_correct(raw, geom, cfg.grid)
         out.write_tensor(f"rf_angle{i}.cbtf", Tensor.from_array(rf.samples))
-        rf_volumes.append(rf)
+        das_imgs.append(_single_beamform(rf, "das", cfg))
+        if i == center:
+            center_rf = rf
+        del raw, rf
 
-    das_imgs = [beamform.das(rf, np.ones(cfg.probe.num_elements)) for rf in rf_volumes]
-    das_img = das_imgs[center]
-    mvdr_img = beamform.mvdr(rf_volumes[center], cfg.mvdr)
-    comp_img = beamform.compound(das_imgs)
-    envs = {
-        "das": beamform.envelope(das_img),
-        "mvdr": beamform.envelope(mvdr_img),
-        "compound": beamform.envelope(comp_img),
-    }
-    for stem, img in (("das", das_img), ("mvdr", mvdr_img), ("compound", comp_img)):
+    images = {"das": das_imgs[center], "mvdr": _single_beamform(center_rf, "mvdr", cfg),
+              "compound": beamform.compound(das_imgs)}
+    envs = {stem: beamform.envelope(img) for stem, img in images.items()}
+    for stem, img in images.items():
         _write_image_set(out, stem, envs[stem], cfg, beamformed=img.values)
 
     weights = capsnet.init_weights(cfg.capsnet, seed=seed)
     out.write_bundle("weights.cbwb", weights)
     # The float walk's trace calibrates the fixed-point path: one walk, not two.
     trace = {} if cfg.quant.enabled else None
-    envs["capsnet"] = capsnet.infer(rf_volumes[center], cfg.capsnet, weights, trace=trace)
+    envs["capsnet"] = capsnet.infer(center_rf, cfg.capsnet, weights, trace=trace)
     _write_image_set(out, "capsnet", envs["capsnet"], cfg)
 
     if cfg.quant.enabled:
         plan = quantized.plan_from_trace(weights, trace)
         qbundle = quantized.quantize_bundle(weights, plan)
         out.write_bundle("quantized.cbwb", qbundle)
-        envs["capsnet_q"] = quantized.infer_quantized(rf_volumes[center], cfg.capsnet, qbundle)
+        envs["capsnet_q"] = quantized.infer_quantized(center_rf, cfg.capsnet, qbundle)
         _write_image_set(out, "capsnet_q", envs["capsnet_q"], cfg)
 
-    for stem, env in envs.items():
+    metric_rows = {stem: _metric_rows(env, cfg) for stem, env in envs.items()}
+    for stem, rows in metric_rows.items():
         sub = _OutDir(str(out.root / f"metrics_{stem}"), cfg.config_hash)
-        sub.write_text("metrics.csv", _metrics_csv(_metric_rows(env, cfg)))
+        sub.write_text("metrics.csv", _metrics_csv(rows))
         sub.finish()
 
     pruned, prune_report = _prune_once(
@@ -463,8 +462,8 @@ def _cmd_report(args) -> int:
     summary.append(f"latency_nonopt_s={nonopt.modeled_latency_s!r}")
     summary.append(f"latency_opt_s={opt.modeled_latency_s!r}")
     summary.append("")
-    for stem in envs:
-        for m, v, u, reg in _metric_rows(envs[stem], cfg):
+    for stem, rows in metric_rows.items():
+        for m, v, u, reg in rows:
             summary.append(f"{stem}.{m}={v!r} {u} [{reg}]")
     out.write_text("report.txt", "\n".join(summary) + "\n")
     out.finish()

@@ -20,10 +20,10 @@ trig function runs per tap (_pulse_taps). Synth works in tiles of one
 scatterer chunk by one element chunk (_TILE_VALUES), and each tile ends
 in one np.add.at, scatterer chunks in realize() order, so every sample
 adds its contributions in scatterer order for any tiling or worker count.
-The arrival-time pass and ToF step over _STEP_SAMPLES values, kept small
-because what a pool thread allocates stays in its malloc arena; synth's
-tiles are 4x larger, since each ends in a GIL-held np.add.at, and their
-buffers come from the calling thread.
+ToF steps over _STEP_SAMPLES values, kept small because what a pool
+thread allocates stays in its malloc arena; synth's tiles are 4x larger,
+since each ends in a GIL-held np.add.at, and run_ranges makes their
+buffers on the calling thread.
 """
 
 from __future__ import annotations
@@ -33,18 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import run_ranges, worker_count
+from .beamform import run_ranges
 from .data_model import PixelGrid, ProbeGeometry, RfVolume, require_finite_fields
 from .errors import InvalidConfig, NonFinite, OutOfField, ShapeMismatch
 
 # Envelope cutoff for pulse evaluation windows; below this the tail is dropped.
 _PULSE_TAIL = 1e-10
 _PULSE_BANDWIDTH = 0.6
-# Float64 values per worker step of the arrival loop and of ToF, so their
-# temporaries stay at 128 KB: what a pool thread allocates stays resident
-# in its malloc arena after the call (the calling thread, the first worker,
-# allocates from the main heap), and 4x larger ToF steps raised the peak
-# RSS of a later full-scale inference by 3-8 MB.
+# Float64 values per worker step of ToF, so its temporaries stay at
+# 128 KB: what a pool thread allocates stays resident in its malloc arena
+# after the call (the calling thread, the first worker, allocates from the
+# main heap), and 4x larger steps raised the peak RSS of a later
+# full-scale inference by 3-8 MB.
 _STEP_SAMPLES = 1 << 14
 # Values in one synth tile (scatterers x elements x taps). Each tile ends
 # in one np.add.at, which holds the GIL, so small tiles serialize the
@@ -127,6 +127,18 @@ def _delays(geom: ProbeGeometry, x: np.ndarray, z: np.ndarray,
     the element positions, last axis per element."""
     return (_transmit_delay(geom, x, z)
             + np.hypot(x - elements, z) / geom.speed_of_sound_mps)
+
+
+def _arrival_bounds(geom: ProbeGeometry, x: np.ndarray, z: np.ndarray) -> tuple:
+    """First and last two-way arrivals of scatterers at (x, z), bit for bit
+    _delays' min and max over the elements: the return path falls, then rises
+    along the array, so they lie at the two elements around x and at an end."""
+    elements = geom.element_positions()
+    right = np.minimum(np.searchsorted(elements, x), len(elements) - 1)
+    first = np.minimum(_delays(geom, x, z, elements[np.maximum(right - 1, 0)]),
+                       _delays(geom, x, z, elements[right]))
+    last = np.maximum(_delays(geom, x, z, elements[0]), _delays(geom, x, z, elements[-1]))
+    return first, last
 
 
 def _pulse_halfwidth_s(center_freq_hz: float) -> float:
@@ -225,15 +237,7 @@ def simulate_rx(phantom: Phantom, geom: ProbeGeometry, num_time_samples: int,
     fs = geom.sample_rate_hz
     t_max = (num_time_samples - 1) / fs
     amp = scatterers[:, 2]
-    # Each scatterer's first and last arrival, a chunk at a time: no [S, E]
-    # array is held, so peak memory does not grow with the scatterer count.
-    first, last = np.empty(len(amp)), np.empty(len(amp))
-    elements = geom.element_positions()
-    step = max(1, _STEP_SAMPLES // geom.num_elements)
-    for s in range(0, len(amp), step):
-        chunk = scatterers[s:s + step]
-        tau = _delays(geom, chunk[:, :1], chunk[:, 1:2], elements)
-        first[s:s + step], last[s:s + step] = tau.min(axis=1), tau.max(axis=1)
+    first, last = _arrival_bounds(geom, scatterers[:, 0], scatterers[:, 1])
     late = (amp != 0.0) & (last > t_max)
     if late[:len(phantom.scatterers)].any():
         i = late.argmax()
@@ -250,21 +254,19 @@ def simulate_rx(phantom: Phantom, geom: ProbeGeometry, num_time_samples: int,
     rows = pad + num_time_samples + half_n
     padded = np.zeros((geom.num_elements, rows))
     flat = padded.reshape(-1)
-    # Tiles span the widest worker range if they can, and hold as many
-    # scatterers as fit; the buffers are sized to that, never past the work.
     grain = -(-_TILE_VALUES // max(1, len(kept) * n_taps))
-    workers = worker_count(geom.num_elements, grain)
-    elem_step = max(1, min(-(-geom.num_elements // workers), _TILE_VALUES // n_taps))
-    scat_step = max(1, min(len(kept), _TILE_VALUES // (elem_step * n_taps)))
-    size = scat_step * elem_step * n_taps
-    # One tile's buffers a worker, allocated on the calling thread, so no
-    # pool thread's malloc arena holds them; each range takes one set.
-    tiles = [(np.empty(size), np.empty(size), np.empty(size, dtype=np.int64))
-             for _ in range(workers)]
     taps = np.arange(-half_n, half_n + 1)
+    elements = geom.element_positions()
 
-    def scatter(lo: int, hi: int) -> None:
-        wave, spare, index = tiles.pop()  # atomic: ranges never share a set
+    def tile(lo: int, hi: int) -> tuple:
+        # The range's elements if they fit, and as many scatterers as fit.
+        elem_step = max(1, min(hi - lo, _TILE_VALUES // n_taps))
+        scat_step = max(1, min(len(kept), _TILE_VALUES // (elem_step * n_taps)))
+        size = scat_step * elem_step * n_taps
+        return elem_step, scat_step, np.empty(size), np.empty(size), np.empty(size, np.int64)
+
+    def scatter(lo: int, hi: int, buffers: tuple) -> None:
+        elem_step, scat_step, wave, spare, index = buffers
         for e0 in range(lo, hi, elem_step):
             e1 = min(e0 + elem_step, hi)
             base = np.arange(e0, e1) * rows + pad
@@ -280,7 +282,7 @@ def simulate_rx(phantom: Phantom, geom: ProbeGeometry, num_time_samples: int,
                             out=index[:n].reshape(shape))
                 np.add.at(flat, at.reshape(-1), values.reshape(-1))
 
-    run_ranges(geom.num_elements, scatter, grain=grain)
+    run_ranges(geom.num_elements, scatter, grain=grain, workspace=tile)
     out = padded[:, pad:pad + num_time_samples].T
     if noise_std > 0:
         rng = np.random.default_rng(phantom.rng_seed + 1)

@@ -20,7 +20,10 @@ requantizes and applies the ReLU, so no whole-frame accumulator is held.
 The float64 sum is exact, not approximate: |int16 * int16| <= 2^30, so
 while a dot product has at most MAX_EXACT_TAPS = 2^23 taps every partial
 sum is an integer of magnitude <= 2^53, which float64 holds exactly in
-any summation order. Larger tap counts raise InvalidConfig.
+any summation order: the raws, the simulator's replay and counts, and
+bundles are the same on any machine, where float I/Q, traces, MVDR and
+plans taken from a float trace are per machine. Larger tap counts raise
+InvalidConfig.
 
 calibrate takes the activation maxima from the trace of a float walk;
 plan_from_trace builds the plan from a trace already taken, so a caller
@@ -323,19 +326,15 @@ def _bias_to_acc(b_raw: np.ndarray, from_f: int, acc_f: int) -> np.ndarray:
 
 
 def conv_fixed(x_raw: np.ndarray, w_raw: np.ndarray, b_raw: np.ndarray, f_in: int,
-               f_w: int, f_b: int, f_out: int, relu: bool,
-               pad_rows: tuple[int, int] | None = None,
-               above: np.ndarray | None = None) -> np.ndarray:
+               f_w: int, f_b: int, f_out: int, relu: bool) -> np.ndarray:
     """One fixed-point conv layer on int16 raws [rows, cols, cin] at f_in.
 
     Weights [kh, kw, cin, cout] at f_w accumulate exactly at f_in + f_w;
     the bias joins at that scale, then requantize to f_out and the
     optional ReLU. All of it runs per capsnet.conv2d row chunk, so no
-    whole-frame accumulator exists. pad_rows and above are capsnet.conv2d's
-    (same padding by default). Returns int16 [out rows, cols, cout].
+    whole-frame accumulator exists. Returns int16 [rows, cols, cout], same-padded.
     """
-    return _conv_exact(x_raw, _exact_float_weights(w_raw), b_raw, f_in, f_w, f_b, f_out,
-                       relu, pad_rows, above)
+    return _conv_exact(x_raw, _exact_float_weights(w_raw), b_raw, f_in, f_w, f_b, f_out, relu)
 
 
 def _conv_exact(x_raw: np.ndarray, w: np.ndarray, b_raw: np.ndarray, f_in: int,

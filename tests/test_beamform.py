@@ -405,6 +405,55 @@ def test_run_ranges_raises_the_first_failing_range(monkeypatch, failing):
     assert sorted(finished) == sorted(set(range(3)) - set(failing))
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "3", "4"])
+def test_run_ranges_makes_every_working_set_first_on_the_calling_thread(monkeypatch, threads):
+    # One workspace(lo, hi) call a range, all on the calling thread before
+    # any range starts, and each range runs on the set made for it alone.
+    made, ran = [], []
+    lock = threading.Lock()
+
+    def workspace(lo, hi):
+        assert not ran, "a range started before every working set was made"
+        made.append((lo, hi, threading.get_ident()))
+        return [lo, hi]
+
+    def fn(lo, hi, ws):
+        time.sleep(0.01)  # let the ranges overlap
+        with lock:
+            ran.append((lo, hi, ws))
+
+    monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+    beamform.run_ranges(11, fn, workspace=workspace)
+    assert len(made) == len(ran) == beamform.worker_count(11) == int(threads)
+    assert {ident for *_, ident in made} == {threading.get_ident()}
+    assert sorted((lo, hi) for lo, hi, _ in made) == sorted((lo, hi) for lo, hi, _ in ran)
+    assert all(ws == [lo, hi] for lo, hi, ws in ran)
+    assert len({id(ws) for *_, ws in ran}) == len(ran)
+
+
+def test_run_ranges_with_workspace_raises_the_first_failing_range(monkeypatch):
+    # The later ranges fail first; the first range's error still wins. A
+    # failing workspace call runs no range at all.
+    def fn(lo, hi, ws):
+        if lo == 0:
+            time.sleep(0.05)
+        raise ValueError(f"range {lo}")
+
+    monkeypatch.setenv("CAPSBEAM_THREADS", "3")
+    with pytest.raises(ValueError, match="range 0"):
+        beamform.run_ranges(12, fn, workspace=lambda lo, hi: {})
+    ran = []
+
+    def workspace(lo, hi):
+        if lo > 0:
+            raise MemoryError(f"set {lo}")
+        return {}
+
+    with pytest.raises(MemoryError, match="set 4"):
+        beamform.run_ranges(12, lambda lo, hi, ws: ran.append(lo), workspace=workspace)
+    assert ran == []
+
+
 def test_mvdr_workspaces_are_the_budgeted_bytes(monkeypatch):
     # MVDR's byte budget, taken from what it allocates: one working set a
     # worker, made on the calling thread, each width x _mvdr_column_bytes,

@@ -525,3 +525,37 @@ def test_report_walks_the_float_network_once(tmp_path, monkeypatch):
     monkeypatch.setattr(capsnet, "walk", counted)
     _run(["report", "--config", DESK, "--out", str(tmp_path / "report")])
     assert walks == ["_FloatArith", "_FixedArith"]
+
+
+def test_report_peak_memory_does_not_grow_with_the_angle_count(tmp_path, monkeypatch):
+    # desk.ini widened to 32 channels on a 32 x 32 grid, [quant] off: one ToF
+    # volume takes 128 KB. report keeps only the centre volume past its
+    # angle, so 9 angles may trace a higher peak than 5 only by their 4 more
+    # 8 KB DAS images (and compound's stack of them), not by 4 more volumes.
+    # A 1-angle run first loads what the first report in a process loads.
+    import gc
+    import tracemalloc
+
+    text = Path(DESK).read_text()
+    for old, new in (("num_elements = 8", "num_elements = 32"),
+                     ("conv = 3x3:8->8:relu", "conv = 3x3:32->8:relu"),
+                     ("num_rows = 16", "num_rows = 32"), ("num_cols = 16", "num_cols = 32"),
+                     ("enabled = true", "enabled = false")):
+        assert old in text
+        text = text.replace(old, new)
+    monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+    peaks = []
+    for angles in ("0", "-0.86, -0.43, 0, 0.43, 0.86",
+                   "-1.72, -1.29, -0.86, -0.43, 0, 0.43, 0.86, 1.29, 1.72"):
+        config = tmp_path / f"angles{len(peaks)}.ini"
+        config.write_text(re.sub(r"angles_deg = .*", f"angles_deg = {angles}", text))
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            _run(["report", "--config", str(config), "--out", str(tmp_path / config.stem)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    assert abs(peaks[2] - peaks[1]) < 32 * 32 * 32 * 4, peaks

@@ -379,6 +379,29 @@ def test_simulate_rx_peak_memory_does_not_grow_with_tiles(monkeypatch, threads):
     assert peaks[1] - peaks[0] <= 96 * (counts[1] - counts[0]) + (1 << 18)
 
 
+@pytest.mark.parametrize("num_elements", [1, 2, 7, 128])
+@pytest.mark.parametrize("angle_deg", [-20.0, 0.0, 0.43, 15.0])
+def test_arrival_bounds_equal_the_min_and_max_over_every_element(num_elements, angle_deg):
+    # Scatterers inside and far outside the aperture, on the array face,
+    # exactly on each element and one ulp to either side of it, and
+    # default.ini's phantom: the four-delay bounds must equal the min and
+    # max of every scatterer-element delay bit for bit.
+    geom = ProbeGeometry(num_elements=num_elements, transmit_angle_rad=np.deg2rad(angle_deg))
+    e = geom.element_positions()
+    rng = np.random.default_rng(num_elements)
+    cfg = load_config("configs/default.ini")
+    rows = realize(cfg.phantom, cfg.probe, cfg.num_time_samples)
+    x = np.concatenate([rng.uniform(-0.03, 0.03, 3000), e, np.nextafter(e, -1.0),
+                        np.nextafter(e, 1.0), rows[:, 0]])
+    z = np.concatenate([rng.uniform(0.0, 0.05, 3000), rng.uniform(0.0, 0.05, 3 * len(e)),
+                        rows[:, 1]])
+    z[:100] = 0.0
+    first, last = phantom._arrival_bounds(geom, x, z)
+    tau = phantom._delays(geom, x[:, None], z[:, None], e)
+    assert first.tobytes() == tau.min(axis=1).tobytes()
+    assert last.tobytes() == tau.max(axis=1).tobytes()
+
+
 def test_tof_correct_bytes_independent_of_threads(monkeypatch):
     # Rows start above the first echo and run past the window, so every
     # worker sees taps inside, before and after the trace.

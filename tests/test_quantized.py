@@ -724,3 +724,92 @@ def test_infer_memory_is_bounded_by_the_band(monkeypatch, toy_cfg, loud_toy_weig
             tracemalloc.stop()
             gc.enable()
     assert peaks[1] - peaks[0] <= 24 * 40 * (heights[1] - heights[0]), peaks
+
+
+# ---------------------------------------------------------------- any machine
+
+# The exact paths under one BLAS kernel, printed as digests. conv_fixed
+# takes 3 x 3 x 1024 = 9,216 taps of full-range int16, so its float64
+# accumulators reach about 2^43 and the gemm blocks its inner dimension;
+# the toy plan's scales are fixed, not calibrated from a float trace (whose
+# run gives only the activation names here). A float gemm's digest shows
+# whether the kernel changed.
+_EXACT_PATHS = """
+import hashlib, json, sys
+import numpy as np
+from capsbeam import accel_sim, capsnet, cli, quantized
+from capsbeam.config import load_config
+from capsbeam.data_model import RfVolume, Tensor, bundle_chunks
+
+def digest(*parts):
+    return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
+
+rng = np.random.default_rng(5)
+cfg = load_config(sys.argv[1])
+out = {}
+x = rng.integers(-32768, 32768, size=(7, 6, 1024)).astype(np.int16)
+w = rng.integers(-32768, 32768, size=(3, 3, 1024, 5)).astype(np.int16)
+b = rng.integers(-32768, 32768, size=5).astype(np.int16)
+out["conv_fixed"] = digest(quantized._int_conv(x, w).tobytes(),
+                           quantized.conv_fixed(x, w, b, 12, 12, 12, 2, True).tobytes())
+x = rng.integers(-32768, 32768, size=(6, 5, 12)).astype(np.int16)
+w = rng.integers(-32768, 32768, size=(3, 3, 5, 6)).astype(np.int16)
+index = np.stack([np.sort(rng.choice(12, size=5, replace=False)) for _ in range(6)],
+                 axis=1).astype(np.int16)
+spec = accel_sim.ConvLayerSpec(weight=w, bias=b[:1].repeat(6), index=index, relu=False,
+                               f_in=12, f_w=12, f_b=12, f_out=4)
+raw, report = accel_sim.sim_conv_layer(x, spec, cfg.accel)
+out["sim_conv_layer"] = digest(raw.tobytes(), report.to_csv().encode())
+weights = capsnet.init_weights(cfg.capsnet, seed=42)
+for name, entry in list(weights.entries.items()):
+    data = entry.data * 2 if name.endswith(".weight") else rng.uniform(-0.1, 0.1, entry.dims)
+    weights.entries[name] = Tensor.from_array(data.astype(np.float32))
+grid = cfg.grid
+samples = (rng.integers(-4096, 4096, size=(grid.num_rows, grid.num_cols, 8)) / 8192)
+rf = RfVolume(grid=grid, num_channels=8, samples=samples.astype(np.float32))
+trace = {}
+capsnet.infer(rf, cfg.capsnet, weights, trace=trace)
+qbundle = quantized.quantize_bundle(weights, quantized.plan_from_trace(weights, dict.fromkeys(trace, 1.0)))
+env = quantized.infer_quantized(rf, cfg.capsnet, qbundle)
+out["infer_quantized"] = digest(env.i_part.tobytes(), env.q_part.tobytes())
+out["distinct"] = len(np.unique(env.i_part))
+pruned, _ = cli._prune_once(weights, cfg, cfg.prune.method, cfg.prune.ratio, cfg.prune.lookahead)
+out["bundles"] = digest(*bundle_chunks(weights), *bundle_chunks(qbundle), *bundle_chunks(pruned))
+out["estimate_latency"] = digest(*(accel_sim.estimate_latency(
+    cfg.capsnet, cfg.grid, cfg.accel, pruned=pruned, policy=policy,
+    prune_ratio=cfg.prune.ratio).to_csv().encode()
+    for pruned in (False, True) for policy in accel_sim.POLICIES))
+a = rng.standard_normal((96, 96))
+witness = digest((a @ a).tobytes())
+print(json.dumps([out, witness]))
+"""
+
+
+def test_exact_paths_are_the_same_bytes_on_any_blas_kernel():
+    # Only the BLAS kernel is varied, through OPENBLAS_CORETYPE in child
+    # processes; numpy's own SIMD dispatch and libm are not. Float I/Q,
+    # traces and MVDR differ across these kernels.
+    import json
+    import os
+    import subprocess
+    from pathlib import Path
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy links {blas['name']} without DYNAMIC_ARCH: no kernel to select")
+    root = Path(__file__).resolve().parents[1]
+    base = dict(os.environ, PYTHONPATH=str(root / "src"), CAPSBEAM_THREADS="1")
+    base.pop("OPENBLAS_CORETYPE", None)
+    children = [subprocess.Popen(
+        [sys.executable, "-c", _EXACT_PATHS, str(root / "configs" / "desk.ini")],
+        env=dict(base, **core), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for core in ({}, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Prescott"})]
+    results = []
+    for child in children:
+        stdout, stderr = child.communicate(timeout=120)
+        assert child.returncode == 0, stderr
+        results.append(json.loads(stdout))
+    exact, witnesses = zip(*results)
+    assert len(set(witnesses)) >= 2, "no two kernels differed, so nothing was varied"
+    assert exact[0]["distinct"] > 100
+    assert exact[0] == exact[1] == exact[2]
