@@ -34,24 +34,25 @@ def main() -> None:
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    cfg = load_config(args.config)
+    angles = range(len(cfg.angles_rad))
 
     run(["synth", "--config", args.config, "--seed", str(args.seed), "--out", str(out)])
-    for i in range(5):
+    for i in angles:
         run(["tofc", "--config", args.config, "--in", str(out / f"rx_angle{i}.cbtf"),
              "--angle-index", str(i), "--out", str(out)])
 
-    center = str(out / "rf_angle2.cbtf")
+    center = str(out / f"rf_angle{len(angles) // 2}.cbtf")
     run(["beamform", "--config", args.config, "--method", "das", "--in", center,
          "--out", str(out)])
     run(["beamform", "--config", args.config, "--method", "mvdr", "--in", center,
          "--out", str(out)])
-    all_rf = ",".join(str(out / f"rf_angle{i}.cbtf") for i in range(5))
+    all_rf = ",".join(str(out / f"rf_angle{i}.cbtf") for i in angles)
     run(["beamform", "--config", args.config, "--method", "compound", "--in", all_rf,
          "--out", str(out)])
 
     weights = out / "weights.cbwb"
-    write_bundle_file(init_weights(load_config(args.config).capsnet, seed=args.seed),
-                      str(weights))
+    write_bundle_file(init_weights(cfg.capsnet, seed=args.seed), str(weights))
     run(["infer", "--config", args.config, "--in", center, "--weights", str(weights),
          "--out", str(out)])
 

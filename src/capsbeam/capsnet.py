@@ -26,7 +26,8 @@ Weight bundle naming: conv0.weight/conv0.bias, conv1.*, caps0.*, caps1.*,
 fc0.* .. fc3.*. Conv weights are [kh, kw, cin, cout] cross-correlation
 kernels with zero padding (kh - 1) / 2 and stride 1; FC weights are
 [in, out], run as 1x1 convs. CapsConfig.weighted_layers() states this
-layout, and layer_entries fetches one layer's checked entries.
+layout, and layer_entries fetches one layer's checked entries (a pruned
+conv or caps layer expanded), so walks take pruned bundles as they are.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .beamform import run_ranges
 from .data_model import EnvelopeImage, RfVolume, Tensor, WeightBundle, require_finite
 from .errors import InvalidConfig, ShapeMismatch
+from .pruning import expand_index
 
 # Bytes of one im2col copy. conv2d takes output rows in chunks of as many
 # whole rows as fit (at least one), one after another on the calling
@@ -408,14 +410,20 @@ def init_weights(cfg: CapsConfig, seed: int = 0) -> WeightBundle:
 
 
 def layer_entries(bundle: WeightBundle, layer: WeightedLayer) -> tuple[Tensor, Tensor]:
-    """A layer's weight and bias entries, checked against its config.
+    """A layer's weight and bias entries, checked against its config; a
+    pruned layer's kept kernels are expanded at its .index lists
+    (pruning.expand_index) in the entry's dtype and scale.
 
-    MissingWeight when either is absent; ShapeMismatch unless the weight
-    has the layer's weight dims and the bias is [cout]; NonFinite when
-    either holds NaN or infinity.
+    MissingWeight when either is absent; IndexOutOfRange for a bad .index;
+    ShapeMismatch unless the weight has the layer's weight dims and the
+    bias is [cout]; NonFinite when either holds NaN or infinity.
     """
     weight = bundle.require(f"{layer.name}.weight")
     bias = bundle.require(f"{layer.name}.bias")
+    index = bundle.entries.get(f"{layer.name}.index")
+    if index is not None:
+        dense = expand_index(weight.data, index.data, layer.in_ch, layer.name)
+        weight = Tensor.from_array(dense, scale_exp=weight.scale_exp)
     if weight.dims != layer.weight_dims:
         raise ShapeMismatch(
             f"{layer.name}.weight dims {weight.dims}, config implies {layer.weight_dims}"

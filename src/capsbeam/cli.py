@@ -144,13 +144,6 @@ def _write_image_set(out: _OutDir, stem: str, env: EnvelopeImage, cfg: RunConfig
     out.write(f"{stem}.pgm", [pgm.getvalue()])
 
 
-def _float_bundle(bundle: WeightBundle, cfg: RunConfig) -> WeightBundle:
-    """Densify pruned bundles so the float/fixed engines see dense layers."""
-    if any(name.endswith(".index") for name in bundle.entries):
-        return pruning.densify(bundle, cfg.capsnet.layer_names())
-    return bundle
-
-
 # subcommand handlers -------------------------------------------------------------
 
 
@@ -227,11 +220,10 @@ def _cmd_infer(args) -> int:
     bundle = read_bundle_file(args.weights)
     out = _OutDir(args.out, cfg.config_hash)
     if args.quantized:
-        dense = _float_bundle(bundle, cfg)
-        env = quantized.infer_quantized(rf, cfg.capsnet, dense)
+        env = quantized.infer_quantized(rf, cfg.capsnet, bundle)
         stem = "capsnet_q"
     else:
-        env = capsnet.infer(rf, cfg.capsnet, _float_bundle(bundle, cfg))
+        env = capsnet.infer(rf, cfg.capsnet, bundle)
         stem = "capsnet"
     _write_image_set(out, stem, env, cfg)
     out.finish()
@@ -279,7 +271,7 @@ def _cmd_prune(args) -> int:
         chosen = None
         for ratio in ratios:
             pruned, report = _prune_once(bundle, cfg, method, ratio, r)
-            env = capsnet.infer(rf, cfg.capsnet, _float_bundle(pruned, cfg))
+            env = capsnet.infer(rf, cfg.capsnet, pruned)
             vals = {m: v for m, v, _, _ in _metric_rows(env, cfg)}
             ok = (args.min_cr is None or vals["cr"] >= args.min_cr) and (
                 args.min_gcnr is None or vals["gcnr"] >= args.min_gcnr
@@ -309,7 +301,8 @@ def _cmd_quantize(args) -> int:
     cfg = _runconfig(args)
     cfg.capsnet.validate_for_inference()
     bundle = read_bundle_file(args.weights)
-    samples = [_load_rf(p.strip(), cfg) for p in args.rf.split(",") if p.strip()]
+    # One calibration volume is loaded at a time, as calibrate walks it.
+    samples = (_load_rf(p.strip(), cfg) for p in args.rf.split(",") if p.strip())
     plan = quantized.calibrate(bundle, samples, cfg.capsnet)
     qbundle = quantized.quantize_bundle(bundle, plan)
     out = _OutDir(args.out, cfg.config_hash)

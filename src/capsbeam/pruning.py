@@ -19,7 +19,9 @@ kernels, which keeps the kept-index lists rectangular and, for ratio < 1,
 leaves every filter at least one kernel, so no filter is ever removed.
 Ties prune the lower input channel first. A compacted layer stores its
 kept input channels in an .index list and its [cin, cout] kept-kernel
-mask in .mask, whose dims give the dense input width.
+mask in .mask, whose dims give the dense input width. Only conv-layout
+weights [kh, kw, cin, cout] are pruned (others raise ShapeMismatch), and
+walks expand compacted layers themselves (capsnet.layer_entries).
 """
 
 from __future__ import annotations
@@ -42,25 +44,10 @@ from .errors import (
 METHODS = ("magnitude", "lakp", "lakp_ml")
 
 
-def _conv_view(weight: np.ndarray) -> np.ndarray:
-    """A stored weight in conv layout: fc [in, out] is the 1x1 conv
-    [1, 1, in, out]; conv weights [kh, kw, cin, cout] are as stored."""
-    return weight.reshape(1, 1, *weight.shape) if weight.ndim == 2 else weight
-
-
-def _store(like: Tensor, conv: np.ndarray) -> Tensor:
-    """Conv-layout weights as a Tensor in like's stored layout and scale."""
-    shape = conv.shape[2:] if like.data.ndim == 2 else conv.shape
-    return Tensor.from_array(conv.reshape(shape), scale_exp=like.scale_exp)
-
-
 @dataclass(frozen=True)
 class ConvNetDescription:
     """Ordered conv weights [kh, kw, cin, cout]; adjacent layers chain.
-
-    Pointwise FC layers participate as [1, 1, in, out]. layer_names, when
-    given, ties each position to a weight-bundle entry prefix.
-    """
+    layer_names, when given, ties each position to a bundle entry prefix."""
 
     layers: tuple[np.ndarray, ...]
     layer_names: tuple[str, ...] = ()
@@ -86,8 +73,8 @@ class ConvNetDescription:
 
     @classmethod
     def from_bundle(cls, bundle: WeightBundle, names: list[str]) -> "ConvNetDescription":
-        layers = (_conv_view(bundle.require(f"{name}.weight").data) for name in names)
-        return cls(layers=tuple(w.astype(np.float64) for w in layers), layer_names=tuple(names))
+        layers = tuple(bundle.require(f"{name}.weight").data for name in names)
+        return cls(layers=layers, layer_names=tuple(names))
 
 
 def kernel_l1(weights: np.ndarray, cin_index: int, cout_index: int) -> float:
@@ -268,7 +255,9 @@ def apply_mask(bundle: WeightBundle, mask: PruneMask) -> WeightBundle:
     out = bundle.copy()
     for name, m in zip(mask.layer_names, mask.masks):
         weight = bundle.require(f"{name}.weight")
-        w = _conv_view(weight.data)
+        w = weight.data
+        if w.ndim != 4:
+            raise ShapeMismatch(f"{name}: weight {w.shape} is not [kh, kw, cin, cout]")
         _, _, cin, cout = w.shape
         if m.shape != (cin, cout):
             raise MaskMismatch(f"{name}: mask {m.shape} vs weights ({cin}, {cout})")
@@ -278,7 +267,8 @@ def apply_mask(bundle: WeightBundle, mask: PruneMask) -> WeightBundle:
         if counts.max() != counts.min():
             raise MaskMismatch(f"{name}: ragged kept counts {sorted(set(counts.tolist()))}")
         index = np.nonzero(m.T)[1].reshape(cout, -1).T  # [kept, cout]
-        out.entries[f"{name}.weight"] = _store(weight, w[:, :, index, np.arange(cout)])
+        out.entries[f"{name}.weight"] = Tensor.from_array(
+            w[:, :, index, np.arange(cout)], scale_exp=weight.scale_exp)
         out.entries[f"{name}.index"] = Tensor.from_array(index.astype(np.int16))
         out.entries[f"{name}.mask"] = Tensor.from_array(m.astype(np.int16))
     out.metadata["prune_method"] = mask.method
@@ -291,9 +281,12 @@ def expand_index(weight: np.ndarray, index: np.ndarray, cin: int, name: str) -> 
     """Scatter compacted kernels [kh, kw, kept, cout] into a zero-filled
     dense [kh, kw, cin, cout] at the input channels index [kept, cout] lists.
 
-    Raises IndexOutOfRange when index is not [kept, cout], names a channel
+    Raises ShapeMismatch when weight is not [kh, kw, kept, cout], and
+    IndexOutOfRange when index is not [kept, cout], names a channel
     outside [0, cin), or lists one channel twice within a filter.
     """
+    if weight.ndim != 4:
+        raise ShapeMismatch(f"{name}: weight {weight.shape} is not [kh, kw, kept, cout]")
     kh, kw, kept, cout = weight.shape
     idx = np.asarray(index).astype(np.int64)
     if idx.shape != (kept, cout):
@@ -324,11 +317,11 @@ def densify(bundle: WeightBundle, layer_names: list[str]) -> WeightBundle:
         mask_entry = bundle.entries.get(f"{name}.mask")
         if mask_entry is None:
             raise MissingWeight(f"{name}: .index without .mask gives no input width")
-        w = _conv_view(weight.data)
-        if len(mask_entry.dims) != 2 or mask_entry.dims[1] != w.shape[3]:
-            raise MaskMismatch(f"{name}: mask {mask_entry.dims} vs {w.shape[3]} filters")
+        w = weight.data
+        if len(mask_entry.dims) != 2 or mask_entry.dims[1] != w.shape[-1]:
+            raise MaskMismatch(f"{name}: mask {mask_entry.dims} vs {w.shape[-1]} filters")
         dense = expand_index(w, index_entry.data, mask_entry.dims[0], name)
-        out.entries[f"{name}.weight"] = _store(weight, dense)
+        out.entries[f"{name}.weight"] = Tensor.from_array(dense, scale_exp=weight.scale_exp)
         out.entries.pop(f"{name}.index")
         out.entries.pop(f"{name}.mask")
     return out

@@ -25,7 +25,8 @@ bundles are the same on any machine, where float I/Q, traces, MVDR and
 plans taken from a float trace are per machine. Larger tap counts raise
 InvalidConfig.
 
-calibrate takes the activation maxima from the trace of a float walk;
+calibrate takes the activation maxima from the trace of a float walk,
+and both walks take pruned bundles as they are (capsnet.layer_entries);
 plan_from_trace builds the plan from a trace already taken, so a caller
 that runs float inference anyway need not walk the network again.
 
@@ -49,6 +50,7 @@ floor square root at doubled fraction bits:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -217,16 +219,15 @@ def scale_for_max(m: float, max_exp: int = MAX_SCALE_EXP) -> int:
     return min(max_exp, 14 - ceil_log2)
 
 
-def calibrate(bundle: WeightBundle, samples: list[RfVolume], cfg) -> QuantPlan:
-    """plan_from_trace on the trace of one float walk over each sample."""
-    from .pruning import densify
-
-    if not samples:
-        raise EmptyCalibration("calibration needs at least one sample volume")
-    dense = densify(bundle, cfg.layer_names())
+def calibrate(bundle: WeightBundle, samples: Iterable[RfVolume], cfg) -> QuantPlan:
+    """plan_from_trace on the trace of one float walk over each sample of
+    any iterable (a generator loads one at a time); EmptyCalibration if none."""
     trace: dict[str, float] = {}
     for rf in samples:
-        capsnet.infer(rf, cfg, dense, trace=trace)
+        capsnet.infer(rf, cfg, bundle, trace=trace)
+        del rf  # freed before a generator loads the next volume
+    if not trace:  # every walk traces "input"
+        raise EmptyCalibration("calibration needs at least one sample volume")
     return plan_from_trace(bundle, trace)
 
 
@@ -392,8 +393,7 @@ def infer_quantized(rf: RfVolume, cfg, bundle: WeightBundle,
     fixed-point backend; output dequantized to float.
 
     Accepts float bundles (quantized on the fly against the plan) or
-    already-quantized fixed16 bundles. Compacted pruned layers must be
-    densified by the caller beforehand.
+    already-quantized fixed16 bundles, pruned or dense.
     """
     if plan is None:
         plan = plan_from_bundle(bundle)

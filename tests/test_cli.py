@@ -559,3 +559,47 @@ def test_report_peak_memory_does_not_grow_with_the_angle_count(tmp_path, monkeyp
             tracemalloc.stop()
             gc.enable()
     assert abs(peaks[2] - peaks[1]) < 32 * 32 * 32 * 4, peaks
+
+
+def test_quantize_peak_memory_does_not_grow_with_the_calibration_volumes(tmp_path, monkeypatch):
+    # desk.ini widened to 32 channels on a 512 x 32 grid: one calibration
+    # volume takes 2 MB, more than the walk's own peak, and loading one
+    # holds its file's bytes too. quantize loads each --rf volume only once
+    # the walk over the one before has let it go, so five volumes may trace
+    # a higher peak than one by less than one volume. A first run loads
+    # what the first quantize in a process loads.
+    import gc
+    import tracemalloc
+
+    text = Path(DESK).read_text()
+    for old, new in (("num_elements = 8", "num_elements = 32"),
+                     ("conv = 3x3:8->8:relu", "conv = 3x3:32->8:relu"),
+                     ("num_rows = 16", "num_rows = 512"), ("num_cols = 16", "num_cols = 32")):
+        assert old in text
+        text = text.replace(old, new)
+    config = tmp_path / "wide.ini"
+    config.write_text(text)
+    cfg = load_config(str(config))
+    weights = tmp_path / "weights.cbwb"
+    write_bundle_file(capsnet.init_weights(cfg.capsnet, seed=3), str(weights))
+    rng = np.random.default_rng(17)
+    volume = (512, 32, 32)
+    paths = []
+    for i in range(5):
+        paths.append(str(tmp_path / f"rf_angle{i}.cbtf"))
+        samples = rng.normal(scale=0.25, size=volume).astype(np.float32)
+        write_tensor_file(Tensor.from_array(samples), paths[-1])
+    monkeypatch.setenv("CAPSBEAM_THREADS", "1")
+    peaks = []
+    for rf in (paths[:1], paths[:1], paths):
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            _run(["quantize", "--config", str(config), "--weights", str(weights),
+                  "--rf", ",".join(rf), "--out", str(tmp_path / f"quant{len(peaks)}")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    assert peaks[2] - peaks[1] < np.prod(volume) * 4, peaks

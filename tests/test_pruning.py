@@ -27,6 +27,7 @@ from capsbeam.pruning import (
     PruneMask,
     apply_mask,
     densify,
+    expand_index,
     kernel_l1,
     lakp_ml_score,
     plan_prune,
@@ -332,19 +333,21 @@ def test_apply_mask_rejects_ragged_and_mismatched():
         apply_mask(bundle, PruneMask(masks=[np.ones((3, 2), bool)]))
 
 
-def test_fc_layers_round_trip_as_pointwise():
+def test_fc_weights_are_not_pruned():
+    # Only conv-layout weights are pruned: an fc [in, out] weight named as
+    # a layer to score, compact or expand raises ShapeMismatch.
     rng = np.random.default_rng(10)
     wc = rng.standard_normal((3, 3, 4, 6)).astype(np.float32)
     wf = rng.standard_normal((6, 3)).astype(np.float32)
     bundle = _bundle_for({"conv0": wc, "fc0": wf})
-    net = ConvNetDescription.from_bundle(bundle, ["conv0", "fc0"])
-    assert net.layers[1].shape == (1, 1, 6, 3)
-    mask, _ = plan_prune(net, ratio=0.5)
-    pruned = apply_mask(bundle, mask)
-    assert tuple(pruned.entries["fc0.weight"].dims) == (3, 3)  # 2-D stays 2-D
-    dense = densify(pruned, ["conv0", "fc0"])
-    np.testing.assert_array_equal(
-        dense.entries["fc0.weight"].data, wf * mask.masks[1])
+    with pytest.raises(ShapeMismatch):
+        ConvNetDescription.from_bundle(bundle, ["conv0", "fc0"])
+    mask = PruneMask(masks=[np.ones((4, 6), bool), np.ones((6, 3), bool)],
+                     layer_names=("conv0", "fc0"))
+    with pytest.raises(ShapeMismatch, match="fc0"):
+        apply_mask(bundle, mask)
+    with pytest.raises(ShapeMismatch, match="fc0"):
+        expand_index(wf, np.zeros((6, 3), np.int16), 6, "fc0")
 
 
 @pytest.mark.parametrize("index", [

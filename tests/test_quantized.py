@@ -20,11 +20,13 @@ from capsbeam.capsnet import infer, init_weights, toy_config
 from capsbeam.data_model import PixelGrid, RfVolume, Tensor, WeightBundle
 from capsbeam.errors import (
     EmptyCalibration,
+    IndexOutOfRange,
     InvalidConfig,
     MissingScale,
     NonFinite,
     ShapeMismatch,
 )
+from capsbeam.pruning import ConvNetDescription, apply_mask, densify, plan_prune
 from capsbeam.quantized import (
     MAX_EXACT_TAPS,
     MAX_SCALE_EXP,
@@ -620,29 +622,21 @@ def _digest(*parts) -> str:
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_network_bytes_frozen(threads, monkeypatch, toy_cfg, loud_toy_weights, wide_rf):
-    # Float I/Q, the float trace, the calibrated plan and the fixed I/Q on
-    # many conv chunks and routing blocks; the digests were taken before
-    # the float and fixed paths shared one layer walk. The "infer" and
-    # "trace" digests were retaken when the float convs moved from float64
-    # to float32, which changes float values in their last bits
-    # (test_float32_convs_track_a_float64_reference bounds it); the plan
-    # and the fixed-point bytes kept theirs.
+    # The calibrated plan and the fixed I/Q on many conv chunks and routing
+    # blocks; the digests were taken before the float and fixed paths
+    # shared one layer walk. Float I/Q and traces are not frozen: their
+    # gemms sum in the order of the BLAS kernel the machine picks, and
+    # test_float32_convs_track_a_float64_reference bounds them instead.
     monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**12)
     monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)
     monkeypatch.setenv("CAPSBEAM_THREADS", threads)
-    trace: dict = {}
-    env = infer(wide_rf, toy_cfg, loud_toy_weights, trace=trace)
     plan = calibrate(loud_toy_weights, [wide_rf], toy_cfg)
     fixed = infer_quantized(wide_rf, toy_cfg, quantize_bundle(loud_toy_weights, plan))
     got = {
-        "infer": _digest(env.i_part.tobytes(), env.q_part.tobytes()),
-        "trace": _digest(sorted(trace.items())),
         "plan": _digest(sorted(plan.scales.items())),
         "infer_quantized": _digest(fixed.i_part.tobytes(), fixed.q_part.tobytes()),
     }
     assert got == {
-        "infer": "27ac1a4090e59916",
-        "trace": "bb9e09e55874824c",
         "plan": "8444e671b79140bd",
         "infer_quantized": "1d116a1b825cbc61",
     }
@@ -724,6 +718,55 @@ def test_infer_memory_is_bounded_by_the_band(monkeypatch, toy_cfg, loud_toy_weig
             tracemalloc.stop()
             gc.enable()
     assert peaks[1] - peaks[0] <= 24 * 40 * (heights[1] - heights[0]), peaks
+
+
+# ---------------------------------------------------------------- pruned bundles
+
+
+def _pruned(bundle, cfg):
+    names = [layer.name for layer in cfg.weighted_layers() if layer.prunable]
+    mask, _ = plan_prune(ConvNetDescription.from_bundle(bundle, names), 0.5)
+    return apply_mask(bundle, mask)
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_walks_take_pruned_bundles_as_they_are(threads, monkeypatch, toy_cfg,
+                                               loud_toy_weights, wide_rf):
+    # A compacted bundle, float or quantized, walks to its densified copy's
+    # bytes: float I/Q and trace, the calibrated plan, and the fixed I/Q
+    # from the float bundle with a plan and from the fixed16 bundle.
+    monkeypatch.setattr(capsnet, "_IM2COL_BYTES", 2**12)
+    monkeypatch.setattr(capsnet, "_PIXEL_BLOCK", 400)
+    monkeypatch.setenv("CAPSBEAM_THREADS", threads)
+    pruned = _pruned(loud_toy_weights, toy_cfg)
+    dense = densify(pruned, toy_cfg.layer_names())
+    assert "conv0.index" in pruned.entries and "conv0.index" not in dense.entries
+    got, want = (_network_outputs(toy_cfg, bundle, wide_rf) for bundle in (pruned, dense))
+    assert got == want
+    plan = calibrate(pruned, [wide_rf], toy_cfg)
+    on_the_fly = infer_quantized(wide_rf, toy_cfg, pruned, plan)
+    assert (on_the_fly.i_part.tobytes() + on_the_fly.q_part.tobytes()
+            == want["infer_quantized"])
+
+
+def test_a_walk_rejects_a_bad_index_list(toy_cfg, toy_weights, toy_rf):
+    pruned = _pruned(toy_weights, toy_cfg)
+    index = pruned.entries["conv1.index"].data.copy()
+    index[0, 0] = toy_cfg.conv_layers[1].in_ch  # one past the last input channel
+    pruned.entries["conv1.index"] = Tensor.from_array(index)
+    with pytest.raises(IndexOutOfRange, match="conv1"):
+        infer(toy_rf, toy_cfg, pruned)
+    with pytest.raises(IndexOutOfRange, match="conv1"):
+        calibrate(pruned, [toy_rf], toy_cfg)
+    with pytest.raises(IndexOutOfRange, match="conv1"):
+        infer_quantized(toy_rf, toy_cfg, pruned, calibrate(toy_weights, [toy_rf], toy_cfg))
+
+
+def test_calibrate_takes_any_iterable(toy_cfg, toy_weights, toy_rf):
+    plan = calibrate(toy_weights, (rf for rf in [toy_rf, toy_rf]), toy_cfg)
+    assert plan.scales == calibrate(toy_weights, [toy_rf], toy_cfg).scales
+    with pytest.raises(EmptyCalibration):
+        calibrate(toy_weights, iter(()), toy_cfg)
 
 
 # ---------------------------------------------------------------- any machine

@@ -48,3 +48,21 @@ def test_scripts_run_on_desk_config(tmp_path):
                                      prune_ratio=run.prune.ratio).to_csv()
     assert block == (tmp_path / "pipeline" / "sim_opt" / "sim_report.csv").read_text()
     assert label == f"resident, pruned {run.prune.ratio:g}):"
+
+
+def test_run_pipeline_takes_its_angles_from_the_config(tmp_path):
+    # Three angles: tofc runs for each, and DAS and MVDR read the centre one.
+    text = Path(DESK).read_text().replace("angles_deg = -0.86, -0.43, 0, 0.43, 0.86",
+                                          "angles_deg = -0.43, 0, 0.43")
+    assert "angles_deg = -0.43, 0, 0.43\n" in text
+    config = tmp_path / "three.ini"
+    config.write_text(text)
+    out = tmp_path / "pipeline"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_pipeline.py"),
+                           "--config", str(config), "--out", str(out)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.glob("rf_angle*.cbtf")) == [
+        f"rf_angle{i}.cbtf" for i in range(3)]
+    assert f"--method das --in {out / 'rf_angle1.cbtf'} " in proc.stdout
